@@ -37,6 +37,23 @@ void BM_HilbertDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_HilbertDecode)->Arg(2)->Arg(5)->Arg(9);
 
+// One 4 KB SPB-tree leaf: 170 keys decoded in one block call.
+void BM_HilbertDecodeLeaf(benchmark::State& state) {
+  const uint32_t dims = static_cast<uint32_t>(state.range(0));
+  HilbertCurve h(dims, HilbertCurve::AutoBits(dims));
+  Rng rng(7);
+  std::vector<uint64_t> keys(170);
+  for (auto& k : keys) k = rng() % (1ull << (dims * h.bits()));
+  std::vector<uint32_t> coords(keys.size() * dims);
+  for (auto _ : state) {
+    h.DecodeMany(keys.data(), keys.size(), coords.data());
+    benchmark::DoNotOptimize(coords.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * keys.size());
+}
+BENCHMARK(BM_HilbertDecodeLeaf)->Arg(2)->Arg(5)->Arg(9);
+
 void BM_BPlusTreeInsert(benchmark::State& state) {
   PerfCounters c;
   PagedFile file(4096, 128 * 1024, &c);

@@ -152,6 +152,11 @@ StatusOr<std::unique_ptr<MetricIndex>> TryMakeIndex(
         name + " requires at least " + std::to_string(spec->min_pivots) +
         " pivots, got " + std::to_string(pivot_count));
   }
+  // The SPB-tree's Hilbert grid must fit a 63-bit key; past that, keys
+  // overflow and answers go silently wrong.
+  if (spec->name == "SPB-tree" && pivot_count != kAnyPivotCount) {
+    PMI_RETURN_IF_ERROR(SpbTree::CheckGrid(options, pivot_count));
+  }
   return spec->make(options);
 }
 

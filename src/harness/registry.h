@@ -43,7 +43,8 @@ const std::vector<IndexSpec>& FigureIndexSpecs();
 
 /// Recoverable factory by display name: kNotFound for unknown names,
 /// kInvalidArgument when `options` fail ValidateOptions or when
-/// `pivot_count` (if given) violates the index's min_pivots.  This is the
+/// `pivot_count` (if given) violates the index's min_pivots or, for the
+/// SPB-tree, SpbTree::CheckGrid.  This is the
 /// constructor the facade layer uses; pass kAnyPivotCount to skip the
 /// pivot check when the pivot set is not known yet.
 inline constexpr uint32_t kAnyPivotCount = UINT32_MAX;

@@ -130,38 +130,27 @@ BPlusTree::NodeView BPlusTree::ReadNode(PageId page) const {
 // -- summaries ----------------------------------------------------------------
 
 BPlusTree::Summary BPlusTree::ComputeSummary(PageId page) const {
-  PageHandle h = file_->Read(page);
-  const char* p = h.data();
+  NodeView node = ReadNode(page);
   Summary s;
   s.agg.assign(2 * agg_dims_, 0);
   for (uint32_t d = 0; d < agg_dims_; ++d) {
     s.agg[d] = std::numeric_limits<float>::max();
     s.agg[agg_dims_ + d] = std::numeric_limits<float>::lowest();
   }
-  uint32_t n = Count(p);
-  std::vector<float> coords(agg_dims_);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (IsLeaf(p)) {
-      const char* e = LeafEntry(p, i);
-      s.max_key = std::max(s.max_key, LoadU64(e));
-      if (agg_dims_ > 0) {
-        point_fn_(LoadU64(e), e + 8, coords.data());
-        for (uint32_t d = 0; d < agg_dims_; ++d) {
-          s.agg[d] = std::min(s.agg[d], coords[d]);
-          s.agg[agg_dims_ + d] = std::max(s.agg[agg_dims_ + d], coords[d]);
-        }
-      }
-    } else {
-      const char* e = InternalEntry(p, i);
-      s.max_key = std::max(s.max_key, LoadU64(e + 4));
-      if (agg_dims_ > 0) {
-        const float* lo = reinterpret_cast<const float*>(e + 12);
-        const float* hi = lo + agg_dims_;
-        for (uint32_t d = 0; d < agg_dims_; ++d) {
-          s.agg[d] = std::min(s.agg[d], lo[d]);
-          s.agg[agg_dims_ + d] = std::max(s.agg[agg_dims_ + d], hi[d]);
-        }
-      }
+  std::vector<float> points;
+  if (node.is_leaf && agg_dims_ > 0) {
+    points.resize(size_t(node.count) * agg_dims_);
+    point_fn_(node, points.data());
+  }
+  for (uint32_t i = 0; i < node.count; ++i) {
+    s.max_key = std::max(s.max_key, node.key(i));
+    if (agg_dims_ == 0) continue;
+    const float* lo = node.is_leaf ? &points[size_t(i) * agg_dims_]
+                                   : node.agg_lo(i);
+    const float* hi = node.is_leaf ? lo : node.agg_hi(i);
+    for (uint32_t d = 0; d < agg_dims_; ++d) {
+      s.agg[d] = std::min(s.agg[d], lo[d]);
+      s.agg[agg_dims_ + d] = std::max(s.agg[agg_dims_ + d], hi[d]);
     }
   }
   return s;

@@ -29,10 +29,12 @@ namespace pmi {
 /// Disk-resident B+-tree.
 class BPlusTree {
  public:
-  /// Computes the `agg_dims` point coordinates of a leaf entry; required
-  /// iff agg_dims > 0 (SPB-tree decodes the Hilbert key here).
-  using PointFn =
-      std::function<void(uint64_t key, const char* value, float* coords)>;
+  struct NodeView;
+
+  /// Computes the `agg_dims` point coordinates of every entry of a leaf,
+  /// entry i's at coords[i * agg_dims]; required iff agg_dims > 0.  The
+  /// SPB-tree decodes the whole leaf's Hilbert keys here in one call.
+  using PointFn = std::function<void(const NodeView& leaf, float* coords)>;
 
   BPlusTree(PagedFile* file, uint32_t value_size, uint32_t agg_dims = 0,
             PointFn point_fn = nullptr);

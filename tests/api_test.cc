@@ -102,6 +102,29 @@ TEST(TryMakeIndexTest, MinPivotsViolationIsRecoverable) {
   EXPECT_TRUE(TryMakeIndex("M-index*", IndexOptions{}, 2).ok());
 }
 
+TEST(TryMakeIndexTest, SpbGridMustFitTheHilbertKey) {
+  // 5 pivots x 20 bits = 100 key bits: the keys would overflow.
+  IndexOptions wide;
+  wide.spb_bits_per_dim = 20;
+  EXPECT_EQ(TryMakeIndex("SPB-tree", wide, 5).status().code(),
+            StatusCode::kInvalidArgument);
+  // 70 pivots overflow even the 1-bit grid AutoBits falls back to.
+  EXPECT_EQ(TryMakeIndex("SPB-tree", IndexOptions{}, 70).status().code(),
+            StatusCode::kInvalidArgument);
+  // More than 16 bits per pivot is refused even when the key has room.
+  IndexOptions fine;
+  fine.spb_bits_per_dim = 17;
+  EXPECT_EQ(TryMakeIndex("SPB-tree", fine, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  // The largest grids that fit are accepted.
+  EXPECT_TRUE(TryMakeIndex("SPB-tree", IndexOptions{}, 63).ok());
+  IndexOptions twelve;
+  twelve.spb_bits_per_dim = 12;
+  EXPECT_TRUE(TryMakeIndex("SPB-tree", twelve, 5).ok());
+  // Other indexes take any pivot count past their minimum.
+  EXPECT_TRUE(TryMakeIndex("LAESA", wide, 70).ok());
+}
+
 TEST(TryMakeIndexTest, MakesEveryRegisteredIndexAndLinearScan) {
   for (const IndexSpec& spec : AllIndexSpecs()) {
     auto r = TryMakeIndex(spec.name, IndexOptions{}, spec.min_pivots);
@@ -170,6 +193,22 @@ TEST(MetricDBTest, CreateRejectsBadInput) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);  // min_pivots via the facade
+  IndexOptions wide_grid;
+  wide_grid.spb_bits_per_dim = 20;
+  EXPECT_EQ(MetricDB::Create(MetricDBConfig()
+                                 .WithIndex("SPB-tree")
+                                 .WithPivots(5)
+                                 .WithOptions(wide_grid),
+                             SmallVectors())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // 5 x 20 key bits > 63
+  EXPECT_EQ(MetricDB::Create(MetricDBConfig().WithIndex("SPB-tree")
+                                 .WithPivots(70),
+                             SmallVectors())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // 70 x 1 key bits > 63
 }
 
 TEST(MetricDBTest, QueriesMatchTheRawHarness) {

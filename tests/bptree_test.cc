@@ -154,8 +154,10 @@ TEST(BPlusTreeTest, BulkLoadMatchesInsertion) {
 }
 
 // Aggregate adapter used below: value = 2 float coords.
-void TwoDPoint(uint64_t, const char* value, float* coords) {
-  std::memcpy(coords, value, 8);
+void TwoDPoint(const BPlusTree::NodeView& leaf, float* coords) {
+  for (uint32_t i = 0; i < leaf.count; ++i) {
+    std::memcpy(coords + 2 * i, leaf.value(i), 8);
+  }
 }
 
 std::vector<char> PointVal(float x, float y) {
@@ -175,13 +177,13 @@ void CheckAggregates(const BPlusTree& t, PageId page, float* out_lo,
     out_lo[j] = 1e30f;
     out_hi[j] = -1e30f;
   }
-  std::vector<float> coords(d), clo(d), chi(d);
+  std::vector<float> points(size_t(node.count) * d), clo(d), chi(d);
+  if (node.is_leaf) TwoDPoint(node, points.data());
   for (uint32_t i = 0; i < node.count; ++i) {
     if (node.is_leaf) {
-      TwoDPoint(node.key(i), node.value(i), coords.data());
       for (uint32_t j = 0; j < d; ++j) {
-        out_lo[j] = std::min(out_lo[j], coords[j]);
-        out_hi[j] = std::max(out_hi[j], coords[j]);
+        out_lo[j] = std::min(out_lo[j], points[i * d + j]);
+        out_hi[j] = std::max(out_hi[j], points[i * d + j]);
       }
     } else {
       CheckAggregates(t, node.child(i), clo.data(), chi.data());

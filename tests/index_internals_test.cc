@@ -1,11 +1,14 @@
 // Structural white-box tests for index internals that the black-box
 // conformance suite cannot see: EPT row invariants, FQA sort order,
-// M-index cluster-tree invariants, SPB-tree key stability, CPT leaf
-// pointers, and EPT group-size estimation.
+// M-index cluster-tree invariants, SPB-tree key stability and known
+// answers, CPT leaf pointers, and EPT group-size estimation.
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +129,117 @@ TEST(SpbInternalsTest, KeysAreStableAcrossRemoveInsert) {
   EXPECT_EQ(out.size(), w.bd.data.size()) << "ghost or lost entries";
   // RAF grows (appends), but boundedly: 300 re-inserted word records.
   EXPECT_LT(spb.disk_bytes(), disk_before + 400 * 1024);
+}
+
+struct MrqAnswer {
+  ObjectId query;
+  std::vector<ObjectId> ids;  // ascending
+};
+struct KnnAnswer {
+  ObjectId query;
+  std::vector<std::pair<double, ObjectId>> neighbors;  // (distance, id)
+};
+
+TEST(SpbInternalsTest, KnownAnswersAndCostsOnAFixedScript) {
+  // Answers, compdists and logical PA of a fixed script, recorded before
+  // the SPB-tree's leaf decode became a block decode.  A change to the
+  // curve or the decode that moves any of the paper's cost terms fails
+  // here by name.  The script: 3,000 Synthetic objects, 5 shared pivots,
+  // the default 4 KB pages and 128 KB cache; 20 rounds of one MRQ
+  // (r = 2000) and one 5-NN, over objects 73 i + 11.  PA depends on the
+  // order, since the simulated cache carries over between queries.
+  static const MrqAnswer kMrq[] = {
+      {11, {11, 49, 306, 882, 995, 1124, 1190, 1296, 1475, 2087, 2592, 2805}},
+      {157, {141, 157, 159, 200, 709, 1345, 1485, 1622, 1627, 1811, 1919, 1929,
+           1984, 2360}},
+      {303, {103, 132, 303, 572, 820, 885, 989, 1107, 1115, 1157, 1174, 1285,
+           1476, 1597, 1681, 1852, 1853, 2036, 2130, 2222, 2418, 2492, 2568,
+           2629, 2702, 2999}},
+      {449, {14, 403, 449, 451, 707, 819, 1023, 1052, 1077, 1225, 1284, 1513,
+           1712, 1730, 2392, 2505, 2985}},
+      {595, {98, 328, 402, 428, 448, 524, 544, 595, 609, 825, 1047, 1092, 1119,
+           1161, 1180, 1571, 1598, 1779, 1829, 1975, 2110, 2148, 2228, 2599}},
+      {741, {208, 314, 315, 606, 643, 653, 676, 741, 821, 847, 848, 985, 1051,
+           1102, 1186, 1233, 1446, 1459, 1493, 1587, 1895, 1928, 1939, 2275,
+           2480, 2576, 2798, 2825, 2890, 2919}},
+      {887, {85, 302, 425, 532, 610, 785, 887, 911, 1347, 1653, 1662, 1702,
+           1883, 1953, 2291, 2375, 2557, 2776, 2811, 2920, 2984}},
+      {1033, {41, 145, 228, 780, 796, 805, 1033, 1063, 1184, 1690, 1921, 2145,
+           2218, 2496, 2679, 2933}},
+      {1179, {54, 347, 753, 793, 845, 951, 1179, 1395, 1575, 1623, 1700, 1806,
+           2079, 2272, 2355, 2430, 2586, 2676, 2691, 2703, 2782, 2849}},
+      {1325, {516, 939, 1325, 2476, 2495}},
+      {1471, {86, 169, 390, 743, 1140, 1471, 2490, 2537, 2685, 2829}},
+      {1617, {17, 36, 82, 91, 180, 338, 379, 480, 509, 511, 579, 719, 777, 858,
+           918, 972, 1161, 1238, 1265, 1396, 1514, 1617, 1631, 1704, 1792, 1905,
+           1906, 2038, 2117, 2136, 2188, 2205, 2471, 2555, 2588, 2609, 2770,
+           2970}},
+      {1763, {672, 1213, 1316, 1358, 1380, 1493, 1587, 1763, 2326}},
+      {1909, {229, 641, 738, 845, 1266, 1421, 1452, 1527, 1787, 1797, 1842,
+           1880, 1907, 1909, 1986, 2019, 2132, 2165, 2263, 2344, 2836, 2856}},
+      {2055, {54, 202, 753, 932, 2055, 2060, 2077, 2079, 2430, 2703, 2782}},
+      {2201, {89, 210, 1500, 1574, 1632, 2017, 2201}},
+      {2347, {264, 607, 685, 735, 800, 1094, 1373, 1578, 1583, 1630, 1843, 2026,
+           2347, 2440, 2737, 2875}},
+      {2493, {412, 479, 886, 930, 2493, 2688, 2705, 2726}},
+      {2639, {135, 300, 390, 420, 426, 587, 840, 1199, 1407, 1577, 1650, 1790,
+           1835, 1862, 1910, 2234, 2416, 2488, 2535, 2537, 2639, 2659, 2861,
+           2879, 2952, 2975, 2995}},
+      {2785, {121, 252, 617, 694, 977, 1001, 1319, 1645, 1651, 1723, 1788, 1798,
+           1931, 1932, 2116, 2349, 2412, 2785, 2818, 2931, 2955}},
+  };
+  static const KnnAnswer kKnn[] = {
+      {84, {{0, 84}, {1200, 2675}, {1312, 834}, {1338, 1014}, {1382, 137}}},
+      {230, {{0, 230}, {692, 2843}, {756, 459}, {971, 508}, {1092, 1312}}},
+      {376, {{0, 376}, {1171, 1813}, {1440, 868}, {1594, 1613}, {1947, 2434}}},
+      {522, {{0, 522}, {905, 153}, {935, 2278}, {1024, 68}, {1064, 2883}}},
+      {668, {{0, 668}, {284, 1192}, {681, 1234}, {1151, 1647}, {1167, 2106}}},
+      {814, {{0, 814}, {1005, 1286}, {1125, 1023}, {1169, 1103}, {1220, 1709}}},
+      {960, {{0, 960}, {1128, 2553}, {1386, 62}, {1395, 732}, {1457, 1864}}},
+      {1106, {{0, 1106}, {681, 2417}, {1133, 1276}, {1236, 593}, {1328, 576}}},
+      {1252, {{0, 1252}, {1947, 1901}, {1950, 191}, {2015, 1193}, {2085, 631}}},
+      {1398, {{0, 1398}, {1259, 572}, {1623, 520}, {1690, 2503}, {1936, 493}}},
+      {1544, {{0, 1544}, {1331, 1125}, {1335, 522}, {1472, 298}, {1496, 888}}},
+      {1690, {{0, 1690}, {1027, 1033}, {1250, 754}, {1404, 2680},
+           {1546, 2933}}},
+      {1836, {{0, 1836}, {1269, 2342}, {1497, 2150}, {1615, 2388},
+           {1744, 798}}},
+      {1982, {{0, 1982}, {650, 625}, {1129, 1350}, {1318, 343}, {1629, 2111}}},
+      {2128, {{0, 2128}, {757, 2186}, {915, 77}, {1433, 1353}, {1544, 15}}},
+      {2274, {{0, 2274}, {772, 2243}, {800, 1855}, {1038, 52}, {1150, 1987}}},
+      {2420, {{0, 2420}, {1359, 108}, {1496, 387}, {1654, 2690}, {1675, 1375}}},
+      {2566, {{0, 2566}, {1036, 1155}, {1107, 161}, {1146, 1258},
+           {1208, 1429}}},
+      {2712, {{0, 2712}, {1198, 1814}, {1244, 486}, {1244, 2470},
+           {1266, 1378}}},
+      {2858, {{0, 2858}, {1066, 1065}, {1262, 1513}, {1328, 1322},
+           {1490, 551}}},
+  };
+
+  World w(BenchDatasetId::kSynthetic, 3000);
+  SpbTree spb;
+  OpStats build = spb.Build(w.bd.data, *w.bd.metric, w.pivots);
+  EXPECT_EQ(build.dist_computations, 15000u);
+  EXPECT_EQ(build.page_accesses(), 81u);
+  OpStats mrq_cost, knn_cost;
+  for (size_t round = 0; round < std::size(kMrq); ++round) {
+    const MrqAnswer& mrq = kMrq[round];
+    std::vector<ObjectId> ids;
+    mrq_cost += spb.RangeQuery(w.bd.data.view(mrq.query), 2000, &ids);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, mrq.ids) << "MRQ of object " << mrq.query;
+
+    const KnnAnswer& knn = kKnn[round];
+    std::vector<Neighbor> nn;
+    knn_cost += spb.KnnQuery(w.bd.data.view(knn.query), 5, &nn);
+    std::vector<std::pair<double, ObjectId>> got;
+    for (const Neighbor& n : nn) got.emplace_back(n.dist, n.id);
+    EXPECT_EQ(got, knn.neighbors) << "5-NN of object " << knn.query;
+  }
+  EXPECT_EQ(mrq_cost.dist_computations, 4619u);
+  EXPECT_EQ(mrq_cost.page_accesses(), 428u);
+  EXPECT_EQ(knn_cost.dist_computations, 5435u);
+  EXPECT_EQ(knn_cost.page_accesses(), 382u);
 }
 
 TEST(MIndexInternalsTest, ClusterSplitPreservesResults) {

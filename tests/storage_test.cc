@@ -298,5 +298,74 @@ TEST(HilbertTest, CurveIsContinuous) {
   }
 }
 
+// Skilling's TransposeToAxes with its data-dependent branch, as the
+// library ran it before the branch-free block decode: the reference
+// DecodeMany must reproduce exactly.
+void ReferenceDecode(uint64_t key, uint32_t dims, uint32_t bits,
+                     uint32_t* coords) {
+  uint32_t x[64] = {0};
+  uint32_t total = bits * dims;
+  for (uint32_t b = bits; b-- > 0;) {
+    for (uint32_t i = 0; i < dims; ++i) {
+      --total;
+      x[i] |= static_cast<uint32_t>((key >> total) & 1u) << b;
+    }
+  }
+  uint32_t t = x[dims - 1] >> 1;
+  for (uint32_t i = dims - 1; i > 0; --i) x[i] ^= x[i - 1];
+  x[0] ^= t;
+  for (uint32_t q = 2; q != (1u << bits); q <<= 1) {
+    uint32_t p = q - 1;
+    for (uint32_t i = dims; i-- > 0;) {
+      if (x[i] & q) {
+        x[0] ^= p;
+      } else {
+        t = (x[0] ^ x[i]) & p;
+        x[0] ^= t;
+        x[i] ^= t;
+      }
+    }
+  }
+  for (uint32_t i = 0; i < dims; ++i) coords[i] = x[i];
+}
+
+TEST(HilbertTest, DecodeManyMatchesBranchyReference) {
+  // Every curve shape the SPB-tree can build, at batch sizes around the
+  // 16-key block (170 is a full 4 KB leaf), with the extreme keys mixed
+  // into random ones.
+  constexpr uint32_t kSentinel = 0xA5A5A5A5u;
+  Rng rng(23);
+  for (uint32_t dims = 1; dims <= 63; ++dims) {
+    for (uint32_t bits = 1; HilbertCurve::Fits(dims, bits); ++bits) {
+      SCOPED_TRACE("dims=" + std::to_string(dims) +
+                   " bits=" + std::to_string(bits));
+      HilbertCurve h(dims, bits);
+      const uint64_t max_key = (uint64_t{1} << (dims * bits)) - 1;
+      for (size_t count : {0, 1, 15, 16, 17, 170}) {
+        std::vector<uint64_t> keys(count);
+        for (uint64_t& k : keys) k = rng() & max_key;
+        if (count > 0) keys.front() = 0;
+        if (count > 1) keys.back() = max_key;
+        // One slot past the end catches a block that writes its padding.
+        std::vector<uint32_t> got(count * dims + 1, kSentinel);
+        std::vector<uint32_t> want(count * dims), one(dims);
+        h.DecodeMany(keys.data(), count, got.data());
+        EXPECT_EQ(got.back(), kSentinel) << "count=" << count;
+        got.pop_back();
+        for (size_t k = 0; k < count; ++k) {
+          ReferenceDecode(keys[k], dims, bits, &want[k * dims]);
+        }
+        ASSERT_EQ(got, want) << "count=" << count;
+        for (size_t k = 0; k < count; ++k) {
+          h.Decode(keys[k], one.data());
+          ASSERT_TRUE(std::equal(one.begin(), one.end(), &want[k * dims]))
+              << "Decode, key " << keys[k];
+          ASSERT_EQ(h.Encode(one.data()), keys[k]) << "round trip";
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pmi
