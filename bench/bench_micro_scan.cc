@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/host_config.h"
 #include "src/core/counters.h"
 #include "src/core/filtering.h"
 #include "src/core/knn_heap.h"
@@ -539,11 +540,11 @@ int main() {
   std::snprintf(
       trailer, sizeof(trailer),
       "  \"config\": {\"dataset\": \"Synthetic\", \"dim\": 20, \"n\": %u, "
-      "\"pivots\": %u, \"queries\": %u, \"repeats\": %u, \"simd\": \"%s\"},\n"
+      "\"pivots\": %u, \"queries\": %u, \"repeats\": %u, %s},\n"
       "  \"checks\": {\"survivors_match\": %s, \"results_match\": %s, "
       "\"compdists_match\": %s, \"simd_levels_match\": %s, "
       "\"laesa_range_speedup\": %.3f, \"simd_best_speedup_vs_f64\": %.3f}",
-      n, l, num_queries, repeats, SimdLevelName(SimdLevelInUse()),
+      n, l, num_queries, repeats, HostConfigJson().c_str(),
       survivors_match ? "true" : "false", results_match ? "true" : "false",
       compdists_match ? "true" : "false",
       simd_levels_match ? "true" : "false", laesa_speedup,

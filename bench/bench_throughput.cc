@@ -36,7 +36,9 @@
 // contract -- scatter/gather MRQ and MkNN results bit-identical to an
 // unsharded MetricDB oracle holding the same data, before AND after a
 // deterministic routed-update stream -- then runs a mixed read/write
-// workload (concurrent clients, single-shard apply batches) and reports
+// workload on separate client pools (writers send a fixed number of
+// single-shard apply batches, readers send small batches until the
+// writers finish) and reports each pool's rate over its own wall time:
 // read QPS and apply batches/s.  The 4-shard vs 1-shard apply speedup
 // is the headline number (target >= 1.5x: N shards = N writer streams);
 // like every other speedup it is hardware-dependent and warn-only.  A
@@ -64,7 +66,10 @@
 // reads; the cold/warm speedup and the logical PA (which the pool must
 // not change) are reported.
 //
-// Emits one JSON document to stdout (progress chatter on stderr):
+// Emits one JSON document to stdout (progress chatter on stderr).  Its
+// config records the host (bench/host_config.h), and every throughput
+// and concurrent_mixed row carries "valid": false when it ran more
+// threads than the host has:
 //
 //   ./bench_throughput --threads 8 | python3 -m json.tool
 //
@@ -89,6 +94,7 @@
 
 #include "src/api/metric_db.h"
 
+#include "bench/host_config.h"
 #include "src/core/counters.h"
 #include "src/core/pivot_selection.h"
 #include "src/core/rng.h"
@@ -342,8 +348,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "bench_throughput: n=%u queries=%u repeats=%u max_threads=%u "
                "(hardware: %u)\n",
-               n, num_queries, repeats, max_threads,
-               std::thread::hardware_concurrency());
+               n, num_queries, repeats, max_threads, HardwareThreads());
 
   // The acceptance workload: 20-d synthetic integers under L-infinity.
   ThreadPool::SetGlobalThreads(1);  // workload setup is thread-invariant,
@@ -403,7 +408,7 @@ int main(int argc, char** argv) {
       std::snprintf(
           extra, sizeof(extra),
           "\"index\": \"%s\", \"threads\": %u, %s, %s, %s, %s, %s, %s, %s, "
-          "%s",
+          "%s, %s",
           c.name, t, Num("build_s", p.build_s).c_str(),
           Num("build_speedup", p.build_s > 0 ? base_build_s / p.build_s : 0)
               .c_str(),
@@ -414,7 +419,7 @@ int main(int argc, char** argv) {
           Num("knn_ms", p.knn_ms).c_str(),
           Num("knn_qps", p.knn_ms > 0 ? num_queries / (p.knn_ms / 1e3) : 0)
               .c_str(),
-          Num("knn_speedup", knn_speedup).c_str());
+          Num("knn_speedup", knn_speedup).c_str(), ValidJson(t).c_str());
       json.Result("throughput", extra);
       std::fprintf(stderr,
                    "  %-6s %u threads: build %.3fs, MRQ %.1f ms (%.2fx), "
@@ -573,12 +578,13 @@ int main(int argc, char** argv) {
           wall_s > 0 ? writer_batches.load() / wall_s : 0;
       char extra[512];
       std::snprintf(extra, sizeof(extra),
-                    "\"index\": \"%s\", \"threads\": %u, %s, %s, %s, %s",
+                    "\"index\": \"%s\", \"threads\": %u, %s, %s, %s, %s, %s",
                     c.name, readers, Num("reader_qps", reader_qps).c_str(),
                     Num("writer_batches_per_sec", writer_bps).c_str(),
                     Num("wall_ms", wall_s * 1e3).c_str(),
                     reads_ok.load() ? "\"reads_ok\": true"
-                                    : "\"reads_ok\": false");
+                                    : "\"reads_ok\": false",
+                    ValidJson(readers).c_str());
       json.Result("concurrent_mixed", extra);
       std::fprintf(stderr,
                    "  %-6s %u readers: %.0f reads/s, %.0f write batches/s "
@@ -665,21 +671,50 @@ int main(int argc, char** argv) {
     equiv = equiv && same_as_oracle(oracle, svc);  // after routed updates
     sharded_equiv_match &= equiv;
 
-    // Mixed workload: every client interleaves a light read batch with
-    // write-heavy apply traffic.  Apply batches are single-shard (one
-    // hot entity group per batch) and each client toggles a disjoint
-    // slice of every shard, so N shards really are N independent writer
-    // streams with zero cross-client conflicts.
+    // Mixed workload on separate client pools, so the two rates are
+    // measured independently.  Writers each send a fixed number of
+    // single-shard apply batches (one hot entity group per batch) over a
+    // disjoint slice of every shard, so N shards really are N
+    // independent writer streams with zero cross-client conflicts.
+    // Readers send light read batches until the writers are done.  Each
+    // pool's rate is its own work over its own wall time.
     std::atomic<uint64_t> svc_queries_done{0};
     std::atomic<uint64_t> svc_applies_done{0};
     std::atomic<bool> mixed_ok{true};
+    std::atomic<uint32_t> writers_left{svc_clients};
+    double writer_wall_s = 0;  // set by the last writer to finish
     const auto svc_start = std::chrono::steady_clock::now();
+    auto elapsed_s = [&] {
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           svc_start)
+          .count();
+    };
     std::vector<std::thread> clients;
-    clients.reserve(svc_clients);
+    clients.reserve(2 * svc_clients);
     for (uint32_t c = 0; c < svc_clients; ++c) {
       clients.emplace_back([&, c] {
-        // This client's slice of each shard: members at positions
-        // c, c + clients, ... -- disjoint across clients by construction.
+        // At least one round, so every reader contributes a sample.
+        uint32_t round = c;
+        do {
+          std::vector<ObjectView> qs;
+          for (int i = 0; i < 2; ++i) {
+            qs.push_back(queries[(uint64_t{round} * 2 + i) % queries.size()]);
+          }
+          StatusOr<QueryResult> res =
+              (round % 2 == 0)
+                  ? svc.Query(QueryRequest::RangeBatch(qs, r))
+                  : svc.Query(QueryRequest::KnnBatch(qs, size_t{k}));
+          if (res.ok()) {
+            svc_queries_done.fetch_add(qs.size(), std::memory_order_relaxed);
+          } else {
+            mixed_ok.store(false, std::memory_order_relaxed);
+          }
+          ++round;
+        } while (writers_left.load(std::memory_order_acquire) > 0);
+      });
+      clients.emplace_back([&, c] {
+        // This writer's slice of each shard: members at positions
+        // c, c + clients, ... -- disjoint across writers by construction.
         struct Stripe {
           std::vector<ObjectId> ids;
           std::vector<uint8_t> live;
@@ -694,19 +729,6 @@ int main(int argc, char** argv) {
           }
         }
         for (uint32_t round = 0; round < svc_rounds; ++round) {
-          std::vector<ObjectView> qs;
-          for (int i = 0; i < 2; ++i) {
-            qs.push_back(queries[(uint64_t{round} * 2 + i) % queries.size()]);
-          }
-          StatusOr<QueryResult> res =
-              (round % 2 == 0)
-                  ? svc.Query(QueryRequest::RangeBatch(qs, r))
-                  : svc.Query(QueryRequest::KnnBatch(qs, size_t{k}));
-          if (res.ok()) {
-            svc_queries_done.fetch_add(qs.size(), std::memory_order_relaxed);
-          } else {
-            mixed_ok.store(false, std::memory_order_relaxed);
-          }
           for (int a = 0; a < 2; ++a) {
             Stripe& st = stripes[(c + round + a) % num_shards];
             if (st.ids.empty()) continue;
@@ -719,8 +741,9 @@ int main(int argc, char** argv) {
             ops.reserve(384);
             for (int i = 0; i < 384; ++i) {
               const size_t slot = rng() % st.ids.size();
-              ops.push_back(st.live[slot] != 0 ? UpdateOp::Remove(st.ids[slot])
-                                               : UpdateOp::Insert(st.ids[slot]));
+              ops.push_back(st.live[slot] != 0
+                                ? UpdateOp::Remove(st.ids[slot])
+                                : UpdateOp::Insert(st.ids[slot]));
               st.live[slot] ^= 1;
             }
             auto applied = svc.Apply(ops);
@@ -731,18 +754,19 @@ int main(int argc, char** argv) {
             }
           }
         }
+        if (writers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          writer_wall_s = elapsed_s();
+        }
       });
     }
     for (std::thread& t : clients) t.join();
-    const double svc_wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      svc_start)
-            .count();
+    // Readers stop only after the last writer, so the join marks them.
+    const double reader_wall_s = elapsed_s();
     sharded_mixed_ok &= mixed_ok.load();
     const double read_qps =
-        svc_wall_s > 0 ? svc_queries_done.load() / svc_wall_s : 0;
+        reader_wall_s > 0 ? svc_queries_done.load() / reader_wall_s : 0;
     const double apply_bps =
-        svc_wall_s > 0 ? svc_applies_done.load() / svc_wall_s : 0;
+        writer_wall_s > 0 ? svc_applies_done.load() / writer_wall_s : 0;
     if (num_shards == 1) apply_bps_at_1 = apply_bps;
     if (num_shards == 4) apply_bps_at_4 = apply_bps;
     const ShardedService::ServiceStats sstats = svc.stats();
@@ -750,10 +774,12 @@ int main(int argc, char** argv) {
     char extra[512];
     std::snprintf(
         extra, sizeof(extra),
-        "\"shards\": %u, \"clients\": %u, %s, %s, %s, %s, %s, %s",
-        num_shards, svc_clients, Num("read_qps", read_qps).c_str(),
+        "\"shards\": %u, \"reader_clients\": %u, \"writer_clients\": %u, "
+        "%s, %s, %s, %s, %s, %s, %s",
+        num_shards, svc_clients, svc_clients, Num("read_qps", read_qps).c_str(),
         Num("apply_batches_per_sec", apply_bps).c_str(),
-        Num("wall_ms", svc_wall_s * 1e3).c_str(),
+        Num("reader_wall_ms", reader_wall_s * 1e3).c_str(),
+        Num("writer_wall_ms", writer_wall_s * 1e3).c_str(),
         Num("peak_queue_depth", sstats.admission.peak_depth).c_str(),
         equiv ? "\"oracle_match\": true" : "\"oracle_match\": false",
         mixed_ok.load() ? "\"mixed_ok\": true" : "\"mixed_ok\": false");
@@ -1044,6 +1070,11 @@ int main(int argc, char** argv) {
       best_cold_knn = std::min(best_cold_knn, sk.seconds);
     }
 
+    // The last cold kNN pass started by dropping the MRQ pass's frames,
+    // so pages only MRQ touches are gone again: one untimed pass of each
+    // makes the pool hold the whole working set before the warm passes.
+    index->RangeQueryBatch(queries, r, &mrq_sink);
+    index->KnnQueryBatch(queries, k, &knn_sink);
     OpStats warm_mrq, warm_knn;
     double best_warm_mrq = 1e300, best_warm_knn = 1e300;
     uint64_t warm_physical_reads = 0;
@@ -1107,7 +1138,7 @@ int main(int argc, char** argv) {
       trailer, sizeof(trailer),
       "  \"config\": {\"dataset\": \"Synthetic\", \"dim\": 20, \"n\": %u, "
       "\"queries\": %u, \"repeats\": %u, \"max_threads\": %u, "
-      "\"hardware_threads\": %u, \"batch_blocking_n\": %u},\n"
+      "\"batch_blocking_n\": %u, %s},\n"
       "  \"checks\": {\"results_match\": %s, \"compdists_match\": %s, "
       "\"batch_speedup_threads\": %u, \"batch_speedup\": %.3f, "
       "\"batch_blocking_match\": %s, "
@@ -1119,8 +1150,8 @@ int main(int argc, char** argv) {
       "\"chaos_reads_ok\": %s, \"chaos_healed\": %s, "
       "\"chaos_write_ok\": %s, \"chaos_recovery_ms\": %.3f, "
       "\"pool_match\": %s, \"pool_warm_zero_reads\": %s}",
-      n, num_queries, repeats, max_threads,
-      std::thread::hardware_concurrency(), batch_n,
+      n, num_queries, repeats, max_threads, batch_n,
+      HostConfigJson().c_str(),
       results_match ? "true" : "false", compdists_match ? "true" : "false",
       tracked_threads, tracked_speedup, blocking_match ? "true" : "false",
       blocking_speedup, concurrent_reads_ok ? "true" : "false",

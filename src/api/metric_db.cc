@@ -438,7 +438,6 @@ bool MetricDB::versioned() const {
 }
 
 void MetricDB::InitVersioning() {
-  if (!index_->concurrent_queries()) return;
   // The probe doubles as the support check: an index that cannot
   // shadow-copy cannot promise published-version immutability.
   std::unique_ptr<MetricIndex> probe = index_->Clone();
@@ -516,8 +515,8 @@ Status MetricDB::ValidateRequest(const QueryRequest& request,
   return OkStatus();
 }
 
-QueryResult MetricDB::AnswerAtVersion(const TableVersion& v,
-                                      const QueryRequest& request) {
+QueryResult MetricDB::Answer(const MetricIndex& index,
+                             const QueryRequest& request) {
   QueryResult result;
   const size_t n = request.batch.size();
   if (request.type == QueryType::kRange) {
@@ -527,8 +526,7 @@ QueryResult MetricDB::AnswerAtVersion(const TableVersion& v,
       uniform.assign(n, request.radius);
       radii = &uniform;
     }
-    result.stats =
-        v.index->RangeQueryBatchShared(request.batch, *radii, &result.ids);
+    result.stats = index.RangeQueryBatch(request.batch, *radii, &result.ids);
   } else {
     std::vector<size_t> uniform;
     const std::vector<size_t>* ks = &request.ks;
@@ -536,8 +534,7 @@ QueryResult MetricDB::AnswerAtVersion(const TableVersion& v,
       uniform.assign(n, request.k);
       ks = &uniform;
     }
-    result.stats =
-        v.index->KnnQueryBatchShared(request.batch, *ks, &result.neighbors);
+    result.stats = index.KnnQueryBatch(request.batch, *ks, &result.neighbors);
   }
   return result;
 }
@@ -551,31 +548,12 @@ StatusOr<QueryResult> MetricDB::Query(const QueryRequest& request) const {
     // Versioned fast path: pin the published snapshot and answer
     // against it -- no lock shared with the writer or other readers.
     VersionedTable::ReadPin pin = cc_->table->Pin();
-    return AnswerAtVersion(*pin, request);
+    return Answer(*pin->index, request);
   }
-  // Legacy serialized mode: the index's counters and internal scratch
-  // (e.g. a disk buffer pool) are not concurrency-safe, so queries
-  // exclude the writer and each other.
+  // Legacy serialized mode: without a shadow-copy clone the writer
+  // mutates the one live index in place, so queries exclude it.
   std::lock_guard<std::mutex> lock(cc_->writer_mu);
-  QueryResult result;
-  if (request.type == QueryType::kRange) {
-    if (request.radii.empty()) {
-      result.stats =
-          index_->RangeQueryBatch(request.batch, request.radius, &result.ids);
-    } else {
-      result.stats =
-          index_->RangeQueryBatch(request.batch, request.radii, &result.ids);
-    }
-  } else {
-    if (request.ks.empty()) {
-      result.stats =
-          index_->KnnQueryBatch(request.batch, request.k, &result.neighbors);
-    } else {
-      result.stats =
-          index_->KnnQueryBatch(request.batch, request.ks, &result.neighbors);
-    }
-  }
-  return result;
+  return Answer(*index_, request);
 }
 
 StatusOr<MetricDB::ReadView> MetricDB::GetReadView() const {
@@ -593,7 +571,7 @@ StatusOr<MetricDB::ReadView> MetricDB::GetReadView() const {
 StatusOr<QueryResult> MetricDB::ReadView::Query(
     const QueryRequest& request) const {
   PMI_RETURN_IF_ERROR(ValidateRequest(request, *version_->data));
-  return AnswerAtVersion(*version_, request);
+  return Answer(*version_->index, request);
 }
 
 Status MetricDB::Close() {

@@ -21,21 +21,21 @@
 //     restore with zero distance computations.
 //
 // Concurrency model (see README "Concurrency model"): when the index
-// supports shadow-copy cloning and concurrent queries (the table indexes
-// -- LinearScan, LAESA, EPT, EPT*, FQA), the facade runs an
-// epoch-versioned read/write core.  Readers call Query/GetReadView from
-// any number of threads, lock-free on the hot path: each query pins the
-// currently published immutable TableVersion through an epoch slot and
-// runs the counter-free *Shared batch engine against it.  The single
-// writer (Apply/Insert/Remove, serialized on an internal writer lock)
-// clones the index -- copy-on-write at 256-row pivot-table-block
-// granularity -- applies the batch to the clone, and publishes it
-// atomically; superseded versions are reclaimed once the last pinned
-// reader drains.  Checkpoint snapshots a pinned version concurrently
-// with both readers and the writer.  A database whose write path went
-// read-only (WAL fault) keeps serving reads from the last published
-// version.  Indexes without clone support keep the legacy serialized
-// behavior (operations mutually exclude on the writer lock).
+// supports shadow-copy cloning (LinearScan, LAESA, EPT, EPT*, FQA, VPT
+// and MVPT), the facade runs an epoch-versioned read/write core.
+// Readers call Query/GetReadView from any number of threads, lock-free
+// on the hot path: each query pins the currently published immutable
+// TableVersion through an epoch slot and runs the const batch engine
+// against it.  The single writer (Apply/Insert/Remove, serialized on an
+// internal writer lock) clones the index -- copy-on-write at
+// 256-row pivot-table-block granularity -- applies the batch to the
+// clone, and publishes it atomically; superseded versions are reclaimed
+// once the last pinned reader drains.  Checkpoint snapshots a pinned
+// version concurrently with both readers and the writer.  A database
+// whose write path went read-only (WAL fault) keeps serving reads from
+// the last published version.  Indexes without clone support keep the
+// legacy serialized behavior (operations mutually exclude on the writer
+// lock).
 
 #ifndef PMI_API_METRIC_DB_H_
 #define PMI_API_METRIC_DB_H_
@@ -364,11 +364,10 @@ class MetricDB {
   /// mode (queries still work; updates are refused with this status).
   const Status& write_status() const { return write_status_; }
 
-  /// Answers `request`; batches fan out across the thread pool when the
-  /// index supports concurrent queries.  On an epoch-versioned database
-  /// this is safe to call from any number of threads concurrently with
-  /// Apply/Checkpoint; each call answers against one consistent pinned
-  /// version.
+  /// Answers `request`; batches fan out across the thread pool.  On an
+  /// epoch-versioned database this is safe to call from any number of
+  /// threads concurrently with Apply/Checkpoint; each call answers
+  /// against one consistent pinned version.
   StatusOr<QueryResult> Query(const QueryRequest& request) const;
 
   /// A consistent snapshot of the database for multi-query read
@@ -437,13 +436,13 @@ class MetricDB {
   static Status ValidateRequest(const QueryRequest& request,
                                 const Dataset& data);
 
-  /// Answers an already-validated `request` against pinned version `v`
-  /// with the counter-free *Shared batch engine.
-  static QueryResult AnswerAtVersion(const TableVersion& v,
-                                     const QueryRequest& request);
+  /// Answers an already-validated `request` against `index` -- a pinned
+  /// version's, or the live one under the writer lock.
+  static QueryResult Answer(const MetricIndex& index,
+                            const QueryRequest& request);
 
   /// True once the epoch-versioned read/write core is active (the index
-  /// supports shadow-copy cloning and concurrent queries).
+  /// supports shadow-copy cloning).
   bool versioned() const;
 
   /// Probes the index for clone support and, when present, publishes the

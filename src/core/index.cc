@@ -15,24 +15,6 @@ constexpr uint32_t kMinPageSize = 64;
 
 namespace {
 
-// Converts per-query counter shards into per-query OpStats.  `seconds`
-// stays 0: per-query wall time is not well defined once queries
-// interleave block by block, and the bit-identical contract between
-// execution modes could never hold for a timing anyway.
-void ShardsToStats(const std::vector<PerfCounters>& shards,
-                   std::vector<OpStats>* out) {
-  out->resize(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    (*out)[i] = OpStats{};
-    (*out)[i].dist_computations = shards[i].dist_computations;
-    (*out)[i].page_reads = shards[i].page_reads;
-    (*out)[i].page_writes = shards[i].page_writes;
-    (*out)[i].pool_hits = shards[i].pool_hits;
-    (*out)[i].physical_reads = shards[i].physical_reads;
-    (*out)[i].physical_writes = shards[i].physical_writes;
-  }
-}
-
 // Batch descriptors are parallel vectors; a length mismatch is a
 // programmer error at the harness layer (the facade validates its
 // requests before reaching here), but letting it through would read
@@ -48,6 +30,50 @@ void CheckBatchSizes(size_t queries, size_t thresholds, const char* what) {
   }
 }
 
+// The body of both batch entry points.  `block(shards)` runs the
+// block-major engine and reports whether it handled the batch;
+// otherwise the query-major loop runs `single(i)` for every query, each
+// under a CounterScope over its own shard (every *Impl counts through
+// dist() and the paged layers through CounterScope::Active), so the
+// attribution is per query and exact at any thread count.  The shards
+// are summed into the returned total; the index itself is never written.
+// Per-query `seconds` stay 0: per-query wall time is not well defined
+// once queries interleave block by block, and the bit-identical contract
+// between execution modes could never hold for a timing anyway.
+template <typename Result, typename Block, typename Single>
+OpStats RunBatch(size_t n, bool try_block,
+                 std::vector<std::vector<Result>>* out,
+                 std::vector<OpStats>* per_query, Block&& block,
+                 Single&& single) {
+  out->assign(n, {});
+  Stopwatch watch;
+  std::vector<PerfCounters> shards(n);
+  if (!(try_block && n > 0 && block(shards.data()))) {
+    ParallelQueryChunks(n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        // Count into a stack-local shard and store once: adjacent shards
+        // share cache lines across chunk boundaries, and a per-distance
+        // increment there would ping-pong the line between workers (the
+        // false sharing CounterShard's alignas(64) exists to avoid).
+        PerfCounters local;
+        {
+          CounterScope scope(&local);
+          single(i);
+        }
+        shards[i] = local;
+      }
+    });
+  }
+  OpStats total;
+  for (const PerfCounters& s : shards) total += s;
+  total.seconds = watch.Seconds();
+  if (per_query != nullptr) {
+    per_query->clear();
+    for (const PerfCounters& s : shards) per_query->push_back(OpStats{s});
+  }
+  return total;
+}
+
 }  // namespace
 
 OpStats MetricIndex::RangeQueryBatch(const std::vector<ObjectView>& queries,
@@ -56,23 +82,13 @@ OpStats MetricIndex::RangeQueryBatch(const std::vector<ObjectView>& queries,
                                      std::vector<OpStats>* per_query,
                                      BatchMode mode) const {
   CheckBatchSizes(queries.size(), radii.size(), "radii");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  PerfCounters before = counters_;
-  Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = RangeBatchBlockImpl(queries, radii.data(), out, shards.data());
-  }
-  if (!handled) {
-    RunQueryMajor(n, shards.data(), [&](size_t i) {
-      RangeImpl(queries[i], radii[i], &(*out)[i]);
-    });
-  }
-  for (const PerfCounters& s : shards) counters_ += s;
-  if (per_query != nullptr) ShardsToStats(shards, per_query);
-  return Finish(before, watch);
+  return RunBatch(
+      queries.size(), mode == BatchMode::kAuto && block_major_batches(), out,
+      per_query,
+      [&](PerfCounters* shards) {
+        return RangeBatchBlockImpl(queries, radii.data(), out, shards);
+      },
+      [&](size_t i) { RangeImpl(queries[i], radii[i], &(*out)[i]); });
 }
 
 OpStats MetricIndex::KnnQueryBatch(const std::vector<ObjectView>& queries,
@@ -81,98 +97,13 @@ OpStats MetricIndex::KnnQueryBatch(const std::vector<ObjectView>& queries,
                                    std::vector<OpStats>* per_query,
                                    BatchMode mode) const {
   CheckBatchSizes(queries.size(), ks.size(), "neighbor counts");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  PerfCounters before = counters_;
-  Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = KnnBatchBlockImpl(queries, ks.data(), out, shards.data());
-  }
-  if (!handled) {
-    RunQueryMajor(n, shards.data(), [&](size_t i) {
-      KnnImpl(queries[i], ks[i], &(*out)[i]);
-    });
-  }
-  for (const PerfCounters& s : shards) counters_ += s;
-  if (per_query != nullptr) ShardsToStats(shards, per_query);
-  return Finish(before, watch);
-}
-
-namespace {
-
-// Folds per-query shards into a batch total without ever touching the
-// index's cumulative counters -- the whole point of the *Shared entry
-// points (see index.h): a shared immutable snapshot must not be written
-// by its readers.
-OpStats FoldSharedBatch(const std::vector<PerfCounters>& shards,
-                        const Stopwatch& watch,
-                        std::vector<OpStats>* per_query) {
-  PerfCounters total;
-  for (const PerfCounters& s : shards) total += s;
-  if (per_query != nullptr) ShardsToStats(shards, per_query);
-  OpStats op;
-  op.dist_computations = total.dist_computations;
-  op.page_reads = total.page_reads;
-  op.page_writes = total.page_writes;
-  op.pool_hits = total.pool_hits;
-  op.physical_reads = total.physical_reads;
-  op.physical_writes = total.physical_writes;
-  op.seconds = watch.Seconds();
-  return op;
-}
-
-}  // namespace
-
-OpStats MetricIndex::RangeQueryBatchShared(
-    const std::vector<ObjectView>& queries, const std::vector<double>& radii,
-    std::vector<std::vector<ObjectId>>* out, std::vector<OpStats>* per_query,
-    BatchMode mode) const {
-  CheckBatchSizes(queries.size(), radii.size(), "radii");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = RangeBatchBlockImpl(queries, radii.data(), out, shards.data());
-  }
-  if (!handled) {
-    // Inline query-major loop: the calling thread is one of many
-    // concurrent readers, so fanning out over the shared pool here
-    // would only make the readers contend on its region lock.  Every
-    // *Impl counts through dist(), which honors the innermost
-    // CounterScope -- counters_ is never written.
-    for (size_t i = 0; i < n; ++i) {
-      CounterScope scope(&shards[i]);
-      RangeImpl(queries[i], radii[i], &(*out)[i]);
-    }
-  }
-  return FoldSharedBatch(shards, watch, per_query);
-}
-
-OpStats MetricIndex::KnnQueryBatchShared(const std::vector<ObjectView>& queries,
-                                         const std::vector<size_t>& ks,
-                                         std::vector<std::vector<Neighbor>>* out,
-                                         std::vector<OpStats>* per_query,
-                                         BatchMode mode) const {
-  CheckBatchSizes(queries.size(), ks.size(), "neighbor counts");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = KnnBatchBlockImpl(queries, ks.data(), out, shards.data());
-  }
-  if (!handled) {
-    for (size_t i = 0; i < n; ++i) {  // see RangeQueryBatchShared
-      CounterScope scope(&shards[i]);
-      KnnImpl(queries[i], ks[i], &(*out)[i]);
-    }
-  }
-  return FoldSharedBatch(shards, watch, per_query);
+  return RunBatch(
+      queries.size(), mode == BatchMode::kAuto && block_major_batches(), out,
+      per_query,
+      [&](PerfCounters* shards) {
+        return KnnBatchBlockImpl(queries, ks.data(), out, shards);
+      },
+      [&](size_t i) { KnnImpl(queries[i], ks[i], &(*out)[i]); });
 }
 
 Status ValidateOptions(const IndexOptions& options) {

@@ -7,9 +7,12 @@
 // report storage split into main-memory (I) and disk (D) bytes (Table 4).
 //
 // Cost accounting follows the template-method pattern: the public
-// non-virtual entry points snapshot the per-index PerfCounters and a
-// stopwatch around each *Impl call, so all indexes report compdists / PA /
-// CPU time identically.
+// non-virtual entry points wrap each *Impl call in a stopwatch and a
+// counter sink, so all indexes report compdists / PA / CPU time
+// identically.  Queries count only into operation-local CounterScope
+// shards and never write the index, so any number of threads may query
+// one instance concurrently; the cumulative per-index counters_ belong
+// to the writer-side operations (Build, Insert, Remove, LoadState).
 
 #ifndef PMI_CORE_INDEX_H_
 #define PMI_CORE_INDEX_H_
@@ -104,28 +107,16 @@ enum class BatchMode : uint8_t {
   kQueryMajor = 1,
 };
 
-/// Costs of one build / query / update operation.  page_reads/page_writes
-/// are the paper's logical PA; pool_hits/physical_reads/physical_writes
-/// are what actually crossed the buffer-pool seam (see counters.h).
-struct OpStats {
-  uint64_t dist_computations = 0;
-  uint64_t page_reads = 0;
-  uint64_t page_writes = 0;
-  uint64_t pool_hits = 0;
-  uint64_t physical_reads = 0;
-  uint64_t physical_writes = 0;
+/// Costs of one build / query / update operation: the PerfCounters of
+/// the operation plus its wall-clock time.  page_reads/page_writes are
+/// the paper's logical PA; pool_hits/physical_reads/physical_writes are
+/// what actually crossed the buffer-pool seam (see counters.h).
+struct OpStats : PerfCounters {
   double seconds = 0;
 
-  uint64_t page_accesses() const { return page_reads + page_writes; }
-  uint64_t pa_physical() const { return physical_reads + physical_writes; }
-
+  using PerfCounters::operator+=;
   OpStats& operator+=(const OpStats& o) {
-    dist_computations += o.dist_computations;
-    page_reads += o.page_reads;
-    page_writes += o.page_writes;
-    pool_hits += o.pool_hits;
-    physical_reads += o.physical_reads;
-    physical_writes += o.physical_writes;
+    PerfCounters::operator+=(o);
     seconds += o.seconds;
     return *this;
   }
@@ -160,14 +151,14 @@ class MetricIndex {
   OpStats RangeQuery(const ObjectView& q, double r,
                      std::vector<ObjectId>* out) const {
     out->clear();
-    return Measure([&] { RangeImpl(q, r, out); });
+    return MeasureQuery([&] { RangeImpl(q, r, out); });
   }
 
   /// MkNNQ(q, k): the k nearest objects, ascending by distance.
   OpStats KnnQuery(const ObjectView& q, size_t k,
                    std::vector<Neighbor>* out) const {
     out->clear();
-    return Measure([&] { KnnImpl(q, k, out); });
+    return MeasureQuery([&] { KnnImpl(q, k, out); });
   }
 
   /// Deep-copies this index into an independent instance bound to the
@@ -180,22 +171,6 @@ class MetricIndex {
   /// nullptr, meaning the index does not support shadow-copy updates and
   /// the facade keeps it on the serialized legacy path.
   virtual std::unique_ptr<MetricIndex> Clone() const { return nullptr; }
-
-  /// True when independent queries may run concurrently on this index.
-  /// Fail-safe default: false.  An index opts in only after an audit
-  /// shows its query path shares no mutable state beyond the cost
-  /// counters (which the batch entry points redirect to per-thread
-  /// shards via CounterScope) -- per-query member scratch or query-path
-  /// RNGs disqualify it.  Disk residency no longer does: pages are
-  /// served through pinned BufferPool handles and the PagedFile's
-  /// logical LRU simulation is mutex-guarded, so the disk indexes'
-  /// read-only query paths opt in too (note that under a parallel
-  /// query-major batch the *interleaving* of the logical LRU becomes
-  /// thread-schedule-dependent, so logical PA totals of such batches are
-  /// only pinned for serial execution; results never depend on it).
-  /// Non-opted-in indexes keep the identical batch API and accounting;
-  /// their batches just run through the serial loop.
-  virtual bool concurrent_queries() const { return false; }
 
   /// True when this index implements the block-major batch engine
   /// (RangeBatchBlockImpl / KnnBatchBlockImpl): batch queries walk the
@@ -210,47 +185,34 @@ class MetricIndex {
   /// (*out)[i] for every i -- per-query thresholds, so callers can mix
   /// selectivities in one batch.  Executes block-major when `mode`
   /// allows and the index supports it, otherwise fans the query-major
-  /// loop across the global ThreadPool when concurrent_queries() allows.
-  /// Per-query result buffers are element-private and every distance
-  /// computation is counted into a per-query shard (folded into the
-  /// index total at the end), so results, total compdists, and the
-  /// optional `per_query` stats are identical across execution modes,
-  /// thread counts, and SIMD dispatch levels.  Per-query stats carry
-  /// compdists; `seconds` is meaningful only on the batch total (wall
-  /// clock of the whole batch, the QPS denominator).  Page accesses are
-  /// attributed per query through the same CounterScope routing as
-  /// compdists (the disk indexes charge both levels via
-  /// CounterScope::Active), so batch totals equal the serial sums.
-  /// Like every MetricIndex operation, this is externally synchronized:
-  /// one operation per index instance at a time (the non-atomic
-  /// counters_ bookkeeping would race otherwise).  Concurrent batches on
-  /// *distinct* indexes are fine -- their pool regions serialize, their
-  /// accounting does not interleave.
+  /// loop across the global ThreadPool (inline when another region holds
+  /// the pool, see ParallelQueryChunks).  Per-query result buffers are
+  /// element-private and every distance computation and page access is
+  /// counted into a per-query shard, so results and compdists (total
+  /// and `per_query`) are identical across execution modes, thread
+  /// counts, and SIMD dispatch levels.  A disk index's logical PA also
+  /// depends on the order in which queries reach its LRU simulation, so
+  /// it is pinned only for serial execution.  Per-query stats carry the
+  /// counters; `seconds` is meaningful only on the batch total (wall
+  /// clock of the whole batch, the QPS denominator).  The cost of a
+  /// batch is returned, never accumulated into the index: no member is
+  /// written, so any number of threads may batch-query one instance
+  /// concurrently (the concurrency layer's readers all query the same
+  /// published version).
   OpStats RangeQueryBatch(const std::vector<ObjectView>& queries,
                           const std::vector<double>& radii,
                           std::vector<std::vector<ObjectId>>* out,
                           std::vector<OpStats>* per_query = nullptr,
                           BatchMode mode = BatchMode::kAuto) const;
 
-  /// Shared-read form of the batch MRQ: identical results and per-query
-  /// accounting, but the index instance is treated as strictly immutable
-  /// -- neither counters_ nor any other member is written, so any number
-  /// of threads may run *Shared batches on one instance concurrently
-  /// (the concurrency layer's readers all query the same published
-  /// version).  The cost of a batch is returned, not accumulated: the
-  /// instance's cumulative counters simply do not advance, which is the
-  /// correct reading for a shared snapshot whose readers are mutually
-  /// anonymous.  Requires concurrent_queries(); the query-major loop
-  /// runs inline on the calling thread (each reader IS the parallelism),
-  /// and the block-major engine's internal pool region degrades to
-  /// inline execution whenever another region holds the pool (see
-  /// ThreadPool::TryDispatch), which by the partitioning contract never
-  /// changes results.
+  /// Former name of RangeQueryBatch, kept for existing callers.
   OpStats RangeQueryBatchShared(const std::vector<ObjectView>& queries,
                                 const std::vector<double>& radii,
                                 std::vector<std::vector<ObjectId>>* out,
                                 std::vector<OpStats>* per_query = nullptr,
-                                BatchMode mode = BatchMode::kAuto) const;
+                                BatchMode mode = BatchMode::kAuto) const {
+    return RangeQueryBatch(queries, radii, out, per_query, mode);
+  }
 
   /// Uniform-radius convenience form of the batch MRQ descriptor.
   OpStats RangeQueryBatch(const std::vector<ObjectView>& queries, double r,
@@ -268,12 +230,14 @@ class MetricIndex {
                         std::vector<OpStats>* per_query = nullptr,
                         BatchMode mode = BatchMode::kAuto) const;
 
-  /// Shared-read form of the batch MkNNQ (see RangeQueryBatchShared).
+  /// Former name of KnnQueryBatch, kept for existing callers.
   OpStats KnnQueryBatchShared(const std::vector<ObjectView>& queries,
                               const std::vector<size_t>& ks,
                               std::vector<std::vector<Neighbor>>* out,
                               std::vector<OpStats>* per_query = nullptr,
-                              BatchMode mode = BatchMode::kAuto) const;
+                              BatchMode mode = BatchMode::kAuto) const {
+    return KnnQueryBatch(queries, ks, out, per_query, mode);
+  }
 
   /// Uniform-k convenience form of the batch MkNNQ descriptor.
   OpStats KnnQueryBatch(const std::vector<ObjectView>& queries, size_t k,
@@ -304,10 +268,8 @@ class MetricIndex {
     data_ = &data;
     metric_ = &metric;
     pivots_ = pivots;
-    PerfCounters before = counters_;
-    Stopwatch watch;
-    Status status = LoadImpl(in);
-    OpStats op = Finish(before, watch);
+    Status status;
+    const OpStats op = Measure([&] { status = LoadImpl(in); });
     if (stats != nullptr) *stats = op;
     return status;
   }
@@ -346,6 +308,10 @@ class MetricIndex {
   }
 
   virtual void BuildImpl() = 0;
+  /// Query hooks.  They must write no member: scratch stays local, pages
+  /// are read through pinned buffer-pool handles, and costs go through
+  /// dist() and CounterScope::Active.  tests/concurrent_stress_test.cc
+  /// runs every index's queries from many threads at once under TSan.
   virtual void RangeImpl(const ObjectView& q, double r,
                          std::vector<ObjectId>* out) const = 0;
   virtual void KnnImpl(const ObjectView& q, size_t k,
@@ -370,8 +336,8 @@ class MetricIndex {
   /// one block-major pass; returning false (the default) sends the batch
   /// down the query-major loop.  `per_query` points at one PerfCounters
   /// shard per query: every distance computation must be counted into
-  /// its query's shard (the entry point folds them into counters_ and
-  /// derives the per-query stats), and query i's results must be
+  /// its query's shard (the entry point sums them into the batch total
+  /// and derives the per-query stats), and query i's results must be
   /// bit-identical -- contents and order -- to what RangeImpl/KnnImpl
   /// would produce for that query alone.
   virtual bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
@@ -395,9 +361,9 @@ class MetricIndex {
     return false;
   }
 
-  /// Counting distance computer bound to this index's counters -- or, on
-  /// a worker thread inside a parallel region, to that thread's
-  /// CounterScope shard (folded back at the task boundary).
+  /// Counting distance computer bound to the innermost open CounterScope
+  /// shard -- every query entry opens one -- or, on the writer-side
+  /// operations, to this index's cumulative counters.
   DistanceComputer dist() const {
     return DistanceComputer(metric_, CounterScope::Active(&counters_));
   }
@@ -412,62 +378,24 @@ class MetricIndex {
   mutable PerfCounters counters_;
 
  private:
+  /// Writer-side measurement: the delta of the cumulative counters.
   template <typename Fn>
-  OpStats Measure(Fn&& fn) const {
-    PerfCounters before = counters_;
+  OpStats Measure(Fn&& fn) {
+    const PerfCounters before = counters_;
     Stopwatch watch;
     fn();
-    return Finish(before, watch);
+    return OpStats{counters_ - before, watch.Seconds()};
   }
 
-  /// Query-major batch loop: runs per_query(i) for i in [0, count), in
-  /// parallel over fixed chunks when allowed, serially otherwise.  Each
-  /// query runs under a CounterScope over its own per_query shard (every
-  /// *Impl reaches its counters through dist(), which honors the
-  /// innermost scope), so the attribution is per query -- exact at any
-  /// thread count, since shards are element-indexed, not slot-indexed.
-  /// The caller folds the shards into counters_.
-  template <typename PerQuery>
-  void RunQueryMajor(size_t count, PerfCounters* per_query,
-                     PerQuery&& fn) const {
-    // Serial cases never touch Global(): a process that only runs
-    // serial batches stays worker-thread-free.
-    if (concurrent_queries() && count > 1) {
-      ThreadPool& pool = ThreadPool::Global();
-      if (pool.size() > 1) {
-        ParallelFor(pool, count, [&](size_t begin, size_t end, unsigned) {
-          for (size_t i = begin; i < end; ++i) {
-            // Count into a stack-local shard and store once: adjacent
-            // per_query elements share cache lines across chunk
-            // boundaries, and a per-distance increment there would
-            // ping-pong the line between workers (the false sharing
-            // CounterShard's alignas(64) exists to avoid).
-            PerfCounters local;
-            {
-              CounterScope scope(&local);
-              fn(i);
-            }
-            per_query[i] += local;
-          }
-        });
-        return;
-      }
-    }
-    for (size_t i = 0; i < count; ++i) {
-      CounterScope scope(&per_query[i]);
-      fn(i);
-    }
-  }
-
-  OpStats Finish(const PerfCounters& before, const Stopwatch& watch) const {
-    PerfCounters delta = counters_ - before;
+  /// Query measurement: counts into an operation-local shard only.
+  template <typename Fn>
+  static OpStats MeasureQuery(Fn&& fn) {
     OpStats s;
-    s.dist_computations = delta.dist_computations;
-    s.page_reads = delta.page_reads;
-    s.page_writes = delta.page_writes;
-    s.pool_hits = delta.pool_hits;
-    s.physical_reads = delta.physical_reads;
-    s.physical_writes = delta.physical_writes;
+    Stopwatch watch;
+    {
+      CounterScope scope(&s);
+      fn();
+    }
     s.seconds = watch.Seconds();
     return s;
   }

@@ -19,9 +19,6 @@ class LinearScan final : public MetricIndex {
 
   std::string name() const override { return "LinearScan"; }
   bool disk_based() const override { return false; }
-  // Audited: the query path uses only local state + dist() (counters
-  // are redirected per thread by the batch entry points).
-  bool concurrent_queries() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override { return live_.capacity() / 8; }
 

@@ -59,9 +59,10 @@ class ThreadPool {
   /// two application threads issuing batch queries against *distinct*
   /// indexes through the shared Global() pool) serialize on an internal
   /// mutex -- each region still runs fully parallel, the regions just run
-  /// one after another.  (A MetricIndex instance itself is externally
-  /// synchronized: concurrent operations on the *same* index race on its
-  /// cost counters.)  Not reentrant: fn must not call Dispatch on the
+  /// one after another.  (Queries never write their index, so any number
+  /// of threads may query one MetricIndex; its updates -- Build, Insert,
+  /// Remove, LoadState -- are externally synchronized, since they write
+  /// its cost counters.)  Not reentrant: fn must not call Dispatch on the
   /// same pool.
   void Dispatch(unsigned slots, const std::function<void(unsigned)>& fn);
 
@@ -126,28 +127,28 @@ void ParallelFor(ThreadPool& pool, size_t n, Body&& body) {
   pool.Dispatch(slots, task);
 }
 
-/// Partitioning helper of the block-major batch engine: runs
-/// body(begin, end) over one contiguous chunk of [0, n) per execution
-/// slot of the global pool when `parallel` is set, inline on the calling
-/// thread otherwise (and Global() is never touched in that case, so
-/// serial-only processes stay worker-thread-free).  Unlike ParallelFor
-/// the body receives no slot id: the batch engine attributes every count
-/// to element-indexed per-query state, so slot-indexed scratch never
-/// enters the picture and results cannot depend on which thread ran a
-/// chunk.  The engine parallelizes over *query* chunks and keeps the
-/// block loop inside each chunk -- a blocks x queries tiling where each
-/// worker streams the pivot table once for its whole query subset --
-/// because the MkNNQ shrinking-radius chain makes a query's blocks
-/// sequentially dependent while distinct queries stay independent.
-/// Pool contention degrades gracefully: the region is attempted with
-/// TryDispatch, and when another region holds the pool (e.g. several
-/// reader threads batch-querying one published snapshot) the chunk loop
-/// runs inline on the calling thread instead of queueing -- legal
-/// because results are partitioning-invariant by the body contract.
+/// Partitioning helper of the batch query engine: runs body(begin, end)
+/// over one contiguous chunk of [0, n) per execution slot of the global
+/// pool (a batch of one runs inline without touching Global(), so
+/// processes that only issue single queries stay worker-thread-free).
+/// Unlike ParallelFor the body receives no slot id: the batch engine
+/// attributes every count to element-indexed per-query state, so
+/// slot-indexed scratch never enters the picture and results cannot
+/// depend on which thread ran a chunk.  The block-major engine
+/// parallelizes over *query* chunks and keeps the block loop inside each
+/// chunk -- a blocks x queries tiling where each worker streams the pivot
+/// table once for its whole query subset -- because the MkNNQ
+/// shrinking-radius chain makes a query's blocks sequentially dependent
+/// while distinct queries stay independent.  Pool contention degrades
+/// gracefully: the region is attempted with TryDispatch, and when another
+/// region holds the pool (e.g. several reader threads batch-querying one
+/// published snapshot) the chunk loop runs inline on the calling thread
+/// instead of queueing -- legal because results are
+/// partitioning-invariant by the body contract.
 template <typename Body>
-void ParallelQueryChunks(bool parallel, size_t n, Body&& body) {
+void ParallelQueryChunks(size_t n, Body&& body) {
   if (n == 0) return;
-  if (parallel && n > 1) {
+  if (n > 1) {
     ThreadPool& pool = ThreadPool::Global();
     const unsigned slots =
         static_cast<unsigned>(std::min<size_t>(pool.size(), n));

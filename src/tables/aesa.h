@@ -26,9 +26,6 @@ class Aesa final : public MetricIndex {
 
   std::string name() const override { return "AESA"; }
   bool disk_based() const override { return false; }
-  // Audited: the query path uses only local state + dist() (counters
-  // are redirected per thread by the batch entry points).
-  bool concurrent_queries() const override { return true; }
   size_t memory_bytes() const override;
 
  protected:

@@ -29,11 +29,6 @@ class Cpt final : public MetricIndex {
 
   std::string name() const override { return "CPT"; }
   bool disk_based() const override { return true; }
-  // Audited: the query path reads leaf pages through pinned buffer-pool
-  // handles and keeps all scratch local; counters (both levels) are
-  // redirected per thread by the batch entry points, and the logical LRU
-  // simulation is mutex-guarded inside PagedFile.
-  bool concurrent_queries() const override { return true; }
   // Batch MRQs run block-major over the in-memory table half; the disk
   // verification phase then replays the query-major page-access sequence
   // exactly (see RangeBatchBlockImpl).  MkNNQ batches stay query-major:

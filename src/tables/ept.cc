@@ -256,34 +256,33 @@ bool Ept::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                               const double* radii,
                               std::vector<std::vector<ObjectId>>* out,
                               PerfCounters* per_query) const {
-  ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
-        const size_t m = qe - qb;
-        // Worker-private shards, folded once at chunk end (see
-        // Laesa::RangeBatchBlockImpl).
-        std::vector<PerfCounters> local(m);
-        std::vector<std::vector<double>> d_qp(m);
-        for (size_t j = 0; j < m; ++j) {
+  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
+    const size_t m = qe - qb;
+    // Worker-private shards, folded once at chunk end (see
+    // Laesa::RangeBatchBlockImpl).
+    std::vector<PerfCounters> local(m);
+    std::vector<std::vector<double>> d_qp(m);
+    for (size_t j = 0; j < m; ++j) {
+      DistanceComputer d(&metric(), &local[j]);
+      MapQueryToPool(queries[qb + j], d, &d_qp[j]);
+    }
+    table_.ScanBlockMajorIndirect(
+        m, query_pool().size(), [&](size_t j) { return d_qp[j].data(); },
+        [&](size_t j) { return radii[qb + j]; },
+        [&](size_t j, size_t row) {
+          const size_t i = qb + j;
+          const ObjectId id = oids_[row];
           DistanceComputer d(&metric(), &local[j]);
-          MapQueryToPool(queries[qb + j], d, &d_qp[j]);
-        }
-        table_.ScanBlockMajorIndirect(
-            m, query_pool().size(), [&](size_t j) { return d_qp[j].data(); },
-            [&](size_t j) { return radii[qb + j]; },
-            [&](size_t j, size_t row) {
-              const size_t i = qb + j;
-              const ObjectId id = oids_[row];
-              DistanceComputer d(&metric(), &local[j]);
-              if (d.Bounded(queries[i], data().view(id), radii[i]) <=
-                  radii[i]) {
-                (*out)[i].push_back(id);
-              }
-            },
-            [&](size_t, size_t row) {
-              PrefetchRead(data().view(oids_[row]).payload_ptr());
-            });
-        for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
-      });
+          if (d.Bounded(queries[i], data().view(id), radii[i]) <=
+              radii[i]) {
+            (*out)[i].push_back(id);
+          }
+        },
+        [&](size_t, size_t row) {
+          PrefetchRead(data().view(oids_[row]).payload_ptr());
+        });
+    for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
+  });
   return true;
 }
 
@@ -291,37 +290,36 @@ bool Ept::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
                             const size_t* ks,
                             std::vector<std::vector<Neighbor>>* out,
                             PerfCounters* per_query) const {
-  ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
-        const size_t m = qe - qb;
-        std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
-        std::vector<std::vector<double>> d_qp(m);
-        std::vector<KnnHeap> heaps;
-        heaps.reserve(m);
-        for (size_t j = 0; j < m; ++j) {
+  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
+    const size_t m = qe - qb;
+    std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
+    std::vector<std::vector<double>> d_qp(m);
+    std::vector<KnnHeap> heaps;
+    heaps.reserve(m);
+    for (size_t j = 0; j < m; ++j) {
+      DistanceComputer d(&metric(), &local[j]);
+      MapQueryToPool(queries[qb + j], d, &d_qp[j]);
+      heaps.emplace_back(ks[qb + j]);
+    }
+    table_.ScanBlockMajorIndirect(
+        m, query_pool().size(), [&](size_t j) { return d_qp[j].data(); },
+        [&](size_t j) { return heaps[j].radius(); },
+        [&](size_t j, size_t row) {
+          const size_t i = qb + j;
+          const ObjectId id = oids_[row];
           DistanceComputer d(&metric(), &local[j]);
-          MapQueryToPool(queries[qb + j], d, &d_qp[j]);
-          heaps.emplace_back(ks[qb + j]);
-        }
-        table_.ScanBlockMajorIndirect(
-            m, query_pool().size(), [&](size_t j) { return d_qp[j].data(); },
-            [&](size_t j) { return heaps[j].radius(); },
-            [&](size_t j, size_t row) {
-              const size_t i = qb + j;
-              const ObjectId id = oids_[row];
-              DistanceComputer d(&metric(), &local[j]);
-              heaps[j].Push(
-                  id, d.Bounded(queries[i], data().view(id),
-                                heaps[j].radius()));
-            },
-            [&](size_t, size_t row) {
-              PrefetchRead(data().view(oids_[row]).payload_ptr());
-            });
-        for (size_t j = 0; j < m; ++j) {
-          heaps[j].TakeSorted(&(*out)[qb + j]);
-          per_query[qb + j] += local[j];
-        }
-      });
+          heaps[j].Push(
+              id, d.Bounded(queries[i], data().view(id),
+                            heaps[j].radius()));
+        },
+        [&](size_t, size_t row) {
+          PrefetchRead(data().view(oids_[row]).payload_ptr());
+        });
+    for (size_t j = 0; j < m; ++j) {
+      heaps[j].TakeSorted(&(*out)[qb + j]);
+      per_query[qb + j] += local[j];
+    }
+  });
   return true;
 }
 

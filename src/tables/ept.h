@@ -41,9 +41,6 @@ class Ept final : public MetricIndex {
     return variant_ == Variant::kClassic ? "EPT" : "EPT*";
   }
   bool disk_based() const override { return false; }
-  // Audited: the query path uses only local state + dist() (counters
-  // are redirected per thread by the batch entry points).
-  bool concurrent_queries() const override { return true; }
   // Batches run block-major over the per-row-pivot table (see Laesa).
   bool block_major_batches() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;

@@ -72,35 +72,34 @@ bool Laesa::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                                 const double* radii,
                                 std::vector<std::vector<ObjectId>>* out,
                                 PerfCounters* per_query) const {
-  ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
-        const size_t m = qe - qb;
-        // Worker-private counter shards, folded into the (cache-line-
-        // adjacent, cross-worker) per_query array once at chunk end --
-        // the hot path never writes a line another worker touches.
-        std::vector<PerfCounters> local(m);
-        std::vector<std::vector<double>> phi(m);
-        for (size_t j = 0; j < m; ++j) {
+  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
+    const size_t m = qe - qb;
+    // Worker-private counter shards, folded into the (cache-line-
+    // adjacent, cross-worker) per_query array once at chunk end --
+    // the hot path never writes a line another worker touches.
+    std::vector<PerfCounters> local(m);
+    std::vector<std::vector<double>> phi(m);
+    for (size_t j = 0; j < m; ++j) {
+      DistanceComputer d(&metric(), &local[j]);
+      pivots_.Map(queries[qb + j], d, &phi[j]);
+    }
+    table_.ScanBlockMajor(
+        m, [&](size_t j) { return phi[j].data(); },
+        [&](size_t j) { return radii[qb + j]; },
+        [&](size_t j, size_t row) {
+          const size_t i = qb + j;
+          const ObjectId id = oids_[row];
           DistanceComputer d(&metric(), &local[j]);
-          pivots_.Map(queries[qb + j], d, &phi[j]);
-        }
-        table_.ScanBlockMajor(
-            m, [&](size_t j) { return phi[j].data(); },
-            [&](size_t j) { return radii[qb + j]; },
-            [&](size_t j, size_t row) {
-              const size_t i = qb + j;
-              const ObjectId id = oids_[row];
-              DistanceComputer d(&metric(), &local[j]);
-              if (d.Bounded(queries[i], data().view(id), radii[i]) <=
-                  radii[i]) {
-                (*out)[i].push_back(id);
-              }
-            },
-            [&](size_t, size_t row) {
-              PrefetchRead(data().view(oids_[row]).payload_ptr());
-            });
-        for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
-      });
+          if (d.Bounded(queries[i], data().view(id), radii[i]) <=
+              radii[i]) {
+            (*out)[i].push_back(id);
+          }
+        },
+        [&](size_t, size_t row) {
+          PrefetchRead(data().view(oids_[row]).payload_ptr());
+        });
+    for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
+  });
   return true;
 }
 
@@ -111,37 +110,36 @@ bool Laesa::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
                               const size_t* ks,
                               std::vector<std::vector<Neighbor>>* out,
                               PerfCounters* per_query) const {
-  ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
-        const size_t m = qe - qb;
-        std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
-        std::vector<std::vector<double>> phi(m);
-        std::vector<KnnHeap> heaps;
-        heaps.reserve(m);
-        for (size_t j = 0; j < m; ++j) {
+  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
+    const size_t m = qe - qb;
+    std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
+    std::vector<std::vector<double>> phi(m);
+    std::vector<KnnHeap> heaps;
+    heaps.reserve(m);
+    for (size_t j = 0; j < m; ++j) {
+      DistanceComputer d(&metric(), &local[j]);
+      pivots_.Map(queries[qb + j], d, &phi[j]);
+      heaps.emplace_back(ks[qb + j]);
+    }
+    table_.ScanBlockMajor(
+        m, [&](size_t j) { return phi[j].data(); },
+        [&](size_t j) { return heaps[j].radius(); },
+        [&](size_t j, size_t row) {
+          const size_t i = qb + j;
+          const ObjectId id = oids_[row];
           DistanceComputer d(&metric(), &local[j]);
-          pivots_.Map(queries[qb + j], d, &phi[j]);
-          heaps.emplace_back(ks[qb + j]);
-        }
-        table_.ScanBlockMajor(
-            m, [&](size_t j) { return phi[j].data(); },
-            [&](size_t j) { return heaps[j].radius(); },
-            [&](size_t j, size_t row) {
-              const size_t i = qb + j;
-              const ObjectId id = oids_[row];
-              DistanceComputer d(&metric(), &local[j]);
-              heaps[j].Push(
-                  id, d.Bounded(queries[i], data().view(id),
-                                heaps[j].radius()));
-            },
-            [&](size_t, size_t row) {
-              PrefetchRead(data().view(oids_[row]).payload_ptr());
-            });
-        for (size_t j = 0; j < m; ++j) {
-          heaps[j].TakeSorted(&(*out)[qb + j]);
-          per_query[qb + j] += local[j];
-        }
-      });
+          heaps[j].Push(
+              id, d.Bounded(queries[i], data().view(id),
+                            heaps[j].radius()));
+        },
+        [&](size_t, size_t row) {
+          PrefetchRead(data().view(oids_[row]).payload_ptr());
+        });
+    for (size_t j = 0; j < m; ++j) {
+      heaps[j].TakeSorted(&(*out)[qb + j]);
+      per_query[qb + j] += local[j];
+    }
+  });
   return true;
 }
 

@@ -33,9 +33,6 @@ class Laesa final : public MetricIndex {
 
   std::string name() const override { return "LAESA"; }
   bool disk_based() const override { return false; }
-  // Audited: the query path uses only local state + dist() (counters
-  // are redirected per thread by the batch entry points).
-  bool concurrent_queries() const override { return true; }
   // Batches run block-major: one pivot-table pass for the whole batch
   // (src/core/pivot_table.h ScanBlockMajor), bit-identical to the
   // query-major loop.

@@ -22,9 +22,6 @@ class Fqa final : public MetricIndex {
 
   std::string name() const override { return "FQA"; }
   bool disk_based() const override { return false; }
-  // Audited: the query path uses only local state + dist() (counters
-  // are redirected per thread by the batch entry points).
-  bool concurrent_queries() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 

@@ -29,9 +29,6 @@ class Mvpt final : public MetricIndex {
 
   std::string name() const override { return arity_ == 2 ? "VPT" : "MVPT"; }
   bool disk_based() const override { return false; }
-  // Audited: the query path uses only local state + dist() (counters
-  // are redirected per thread by the batch entry points).
-  bool concurrent_queries() const override { return true; }
   /// Deep copy of the node tree -- joins the tree family to the
   /// epoch-versioned read/write core (clone-apply-publish).  Node
   /// payloads are plain ids and split values, so the copy shares only

@@ -95,8 +95,8 @@ TEST_P(RawBatchEdgeTest, BatchEqualsSerialLoopOnEdgeK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ConcurrentAndSerial, RawBatchEdgeTest,
-                         // LAESA opts into concurrent batches; SPB-tree
-                         // (disk-based) runs the serial fallback.
+                         // LAESA runs the block-major engine; SPB-tree
+                         // (disk-based) runs the query-major loop.
                          ::testing::Values("LAESA", "SPB-tree"),
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            std::string n = i.param;

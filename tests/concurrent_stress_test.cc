@@ -11,14 +11,13 @@
 // to run under ThreadSanitizer in CI (the concurrent-stress job); data
 // races are the other half of the acceptance criterion.
 //
-// Also covered here: the shared buffer pool under parallel readers (two
-// disk indexes on one tiny pool, answers vs a serial reference while a
-// poller races the stats accessor), the directory LOCK file protocol
-// (second-open
-// refusal, foreign live owner, stale owners, same-pid reopen after a
-// simulated crash) and graceful read-only degradation -- a WAL fault
-// mid-stress flips the database read-only and reads must keep
-// succeeding from the last published version.
+// Also covered here: the shared buffer pool under parallel readers (every
+// index on one tiny pool, answers and per-query compdists vs a serial
+// reference while a poller races the stats accessor), the directory LOCK
+// file protocol (second-open refusal, foreign live owner, stale owners,
+// same-pid reopen after a simulated crash) and graceful read-only
+// degradation -- a WAL fault mid-stress flips the database read-only and
+// reads must keep succeeding from the last published version.
 //
 // Knobs (harness env-var convention):
 //   PMI_STRESS_THREADS  reader thread count (default 4)
@@ -462,13 +461,15 @@ TEST(ConcurrentCloseTest, CloseRacesInFlightQueries) {
 
 // -- buffer pool under concurrent readers -------------------------------------
 
-// The pool half of the concurrency acceptance: two disk indexes share
-// one deliberately tiny BufferPool while N reader threads hammer both
-// with shared batch queries and a poller thread reads pool stats the
-// whole time.  Pinned handles must keep every in-flight page alive
-// through the constant cross-index eviction churn, answers must stay
-// bit-identical to the serial warm-up replay, and the run must be
-// TSan-clean (the concurrent-stress CI job).
+// The pool half of the concurrency acceptance, over every index: all of
+// them share one deliberately tiny BufferPool while N reader threads
+// batch-query each of them in turn and a poller thread reads pool stats
+// the whole time.  Queries write no index member, so every reader must
+// reproduce the serial reference's answers and per-query compdists
+// exactly; pinned handles must keep every in-flight page alive through
+// the constant cross-index eviction churn; and the run must be TSan-clean
+// (the concurrent-stress CI job) -- which is what enforces the
+// no-member-writes contract of the query hooks for every index.
 TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
   BenchDataset bd = MakeBenchDataset(BenchDatasetId::kSynthetic, 300, 91);
   PivotSelectionOptions po;
@@ -478,22 +479,21 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
 
   IndexOptions opts;
   opts.seed = 7;
-  // A handful of frames: far smaller than either index's page file, so
-  // concurrent readers are constantly evicting each other's pages.  The
-  // disk-stress CI job narrows this to a single frame (and widens it)
-  // through PMI_CACHE_BYTES.
+  // A handful of frames: far smaller than the disk indexes' page files,
+  // so concurrent readers are constantly evicting each other's pages.
+  // The disk-stress CI job narrows this to a single frame (and widens
+  // it) through PMI_CACHE_BYTES.
   const size_t pool_bytes = std::max<size_t>(
       EnvU32("PMI_CACHE_BYTES", 8 * opts.page_size), opts.page_size);
   auto pool = std::make_shared<BufferPool>(opts.page_size, pool_bytes);
   opts.buffer_pool = pool;
 
-  auto cpt = MakeIndex("CPT", opts);
-  auto spb = MakeIndex("SPB-tree", opts);
-  ASSERT_TRUE(cpt != nullptr && spb != nullptr);
-  ASSERT_TRUE(cpt->concurrent_queries());
-  ASSERT_TRUE(spb->concurrent_queries());
-  cpt->Build(bd.data, *bd.metric, pivots);
-  spb->Build(bd.data, *bd.metric, pivots);
+  std::vector<std::unique_ptr<MetricIndex>> indexes;
+  for (const IndexSpec& spec : AllIndexSpecs()) {
+    indexes.push_back(MakeIndex(spec.name, opts));
+    ASSERT_TRUE(indexes.back() != nullptr) << spec.name;
+    indexes.back()->Build(bd.data, *bd.metric, pivots);
+  }
 
   const double base_radius = SampleRadius(bd.data, *bd.metric);
   Rng rng(kScriptSeed ^ 0xb00);
@@ -506,30 +506,33 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
     ks.push_back(1 + rng() % 8);
   }
 
-  // Serial warm-up replay: the reference answers every thread must
-  // reproduce exactly, and sorted MRQ sets so comparisons are stable.
-  struct Reference {
+  // One batch pair per index: sorted MRQ sets (so comparisons are
+  // stable), kNN lists, and the per-query compdists of both.
+  struct Answers {
     std::vector<std::vector<ObjectId>> mrq;
-    std::vector<std::vector<double>> knn;  // ascending distance profiles
+    std::vector<std::vector<Neighbor>> knn;
+    std::vector<uint64_t> compdists;
   };
-  auto record = [&](MetricIndex* index) {
-    Reference ref;
-    index->RangeQueryBatchShared(queries, radii, &ref.mrq);
-    for (std::vector<ObjectId>& ids : ref.mrq) {
+  auto answer = [&](const MetricIndex& index) {
+    Answers a;
+    std::vector<OpStats> mrq_stats;
+    std::vector<OpStats> knn_stats;
+    index.RangeQueryBatch(queries, radii, &a.mrq, &mrq_stats);
+    for (std::vector<ObjectId>& ids : a.mrq) {
       std::sort(ids.begin(), ids.end());
     }
-    std::vector<std::vector<Neighbor>> nn;
-    index->KnnQueryBatchShared(queries, ks, &nn);
-    for (const std::vector<Neighbor>& q : nn) {
-      std::vector<double> profile;
-      for (const Neighbor& x : q) profile.push_back(x.dist);
-      ref.knn.push_back(std::move(profile));
+    index.KnnQueryBatch(queries, ks, &a.knn, &knn_stats);
+    for (const OpStats& st : mrq_stats) {
+      a.compdists.push_back(st.dist_computations);
     }
-    return ref;
+    for (const OpStats& st : knn_stats) {
+      a.compdists.push_back(st.dist_computations);
+    }
+    return a;
   };
-  const Reference cpt_ref = record(cpt.get());
-  const Reference spb_ref = record(spb.get());
-  ASSERT_FALSE(cpt_ref.mrq.empty());
+  // Serial warm-up replay: the reference every thread must reproduce.
+  std::vector<Answers> refs;
+  for (const auto& index : indexes) refs.push_back(answer(*index));
 
   std::atomic<bool> stop_poller{false};
   std::thread poller([&] {
@@ -546,34 +549,32 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
     }
   });
 
-  const uint32_t kItersPerThread = 10;
+  // Every thread visits every index, from staggered starting points, so
+  // each index is queried by several threads while the others churn the
+  // shared pool.
+  const uint32_t kRoundsPerThread = 2;
   std::vector<std::thread> threads;
   for (uint32_t t = 0; t < ReaderThreads(); ++t) {
     threads.emplace_back([&, t] {
-      MetricIndex* index = (t % 2 == 0) ? cpt.get() : spb.get();
-      const Reference& ref = (t % 2 == 0) ? cpt_ref : spb_ref;
-      for (uint32_t iter = 0; iter < kItersPerThread; ++iter) {
-        std::vector<std::vector<ObjectId>> mrq;
-        index->RangeQueryBatchShared(queries, radii, &mrq);
-        ASSERT_EQ(mrq.size(), ref.mrq.size());
-        for (size_t qi = 0; qi < mrq.size(); ++qi) {
-          std::sort(mrq[qi].begin(), mrq[qi].end());
-          ASSERT_EQ(mrq[qi], ref.mrq[qi])
-              << index->name() << " thread " << t << " iter " << iter
-              << " query " << qi;
-        }
-        std::vector<std::vector<Neighbor>> nn;
-        index->KnnQueryBatchShared(queries, ks, &nn);
-        ASSERT_EQ(nn.size(), ref.knn.size());
-        for (size_t qi = 0; qi < nn.size(); ++qi) {
-          ASSERT_EQ(nn[qi].size(), ref.knn[qi].size());
-          for (size_t j = 0; j < nn[qi].size(); ++j) {
-            ASSERT_EQ(nn[qi][j].dist, ref.knn[qi][j])
-                << index->name() << " thread " << t << " iter " << iter
-                << " query " << qi << " rank " << j;
+      const size_t n = indexes.size();
+      for (size_t step = 0; step < kRoundsPerThread * n; ++step) {
+        const size_t i = (t + step) % n;
+        const Answers got = answer(*indexes[i]);
+        const std::string where = indexes[i]->name() + " thread " +
+                                  std::to_string(t) + " step " +
+                                  std::to_string(step);
+        ASSERT_EQ(got.mrq, refs[i].mrq) << where;
+        ASSERT_EQ(got.compdists, refs[i].compdists) << where;
+        ASSERT_EQ(got.knn.size(), refs[i].knn.size()) << where;
+        for (size_t qi = 0; qi < got.knn.size(); ++qi) {
+          ASSERT_EQ(got.knn[qi].size(), refs[i].knn[qi].size()) << where;
+          for (size_t j = 0; j < got.knn[qi].size(); ++j) {
+            ASSERT_EQ(got.knn[qi][j].id, refs[i].knn[qi][j].id)
+                << where << " query " << qi << " rank " << j;
+            ASSERT_EQ(got.knn[qi][j].dist, refs[i].knn[qi][j].dist)
+                << where << " query " << qi << " rank " << j;
           }
         }
-        if (::testing::Test::HasFatalFailure()) return;
       }
     });
   }

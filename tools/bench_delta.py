@@ -5,8 +5,9 @@ Usage: tools/bench_delta.py BASELINE.json FRESH.json
 
 Matches result entries by their identity fields (name + level / pivots /
 selectivity / threads / batch -- whatever the entry carries) and reports
-the ratio of every shared timing field (...ms, ...qps).  The output is a
-human-readable delta table for the CI log.
+the ratio of every shared timing field (...ms, ...qps).  Rows either
+file marks "valid": false (more threads than the host had) are skipped.
+The output is a human-readable delta table for the CI log.
 
 This is a *warn-only* tool: CI hardware is noisy shared infrastructure,
 so regressions are reported, never enforced -- the checked-in baselines
@@ -55,7 +56,10 @@ def main(argv):
     compared = 0
     for entry in fresh.get("results", []):
         base = base_by_id.get(identity(entry))
-        if base is None:
+        # Rows that ran more threads than their host had measure the
+        # scheduler; the bench marks them "valid": false.
+        if base is None or not base.get("valid", True) \
+                or not entry.get("valid", True):
             continue
         label = " ".join(f"{k}={v}" for k, v in identity(entry))
         for key, value in timing_fields(entry):
