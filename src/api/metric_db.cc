@@ -433,15 +433,7 @@ StatusOr<MetricDB> MetricDB::Create(const MetricDBConfig& config,
   return db;
 }
 
-bool MetricDB::versioned() const {
-  return cc_ != nullptr && cc_->table != nullptr;
-}
-
 void MetricDB::InitVersioning() {
-  // The probe doubles as the support check: an index that cannot
-  // shadow-copy cannot promise published-version immutability.
-  std::unique_ptr<MetricIndex> probe = index_->Clone();
-  if (probe == nullptr) return;
   auto v = std::make_shared<TableVersion>();
   v->data = data_;
   v->metric = metric_;
@@ -544,26 +536,15 @@ StatusOr<QueryResult> MetricDB::Query(const QueryRequest& request) const {
     return FailedPreconditionError("database is closed");
   }
   PMI_RETURN_IF_ERROR(ValidateRequest(request, *data_));
-  if (cc_->table != nullptr) {
-    // Versioned fast path: pin the published snapshot and answer
-    // against it -- no lock shared with the writer or other readers.
-    VersionedTable::ReadPin pin = cc_->table->Pin();
-    return Answer(*pin->index, request);
-  }
-  // Legacy serialized mode: without a shadow-copy clone the writer
-  // mutates the one live index in place, so queries exclude it.
-  std::lock_guard<std::mutex> lock(cc_->writer_mu);
-  return Answer(*index_, request);
+  // Pin the published snapshot and answer against it -- no lock shared
+  // with the writer or other readers.
+  VersionedTable::ReadPin pin = cc_->table->Pin();
+  return Answer(*pin->index, request);
 }
 
 StatusOr<MetricDB::ReadView> MetricDB::GetReadView() const {
   if (cc_->closed.load(std::memory_order_acquire)) {
     return FailedPreconditionError("database is closed");
-  }
-  if (cc_->table == nullptr) {
-    return FailedPreconditionError(
-        config_.index_name +
-        " does not support versioned read views (no shadow-copy clone)");
   }
   return ReadView(cc_->table->Acquire());
 }
@@ -651,13 +632,10 @@ Status MetricDB::SaveStateTo(const MetricIndex& index,
 }
 
 Status MetricDB::SaveTo(const std::string& path, Env* env) const {
-  if (versioned()) {
-    // Snapshot the published version: consistent even while the writer
-    // is mid-Apply on its clone.
-    std::shared_ptr<const TableVersion> v = cc_->table->Acquire();
-    return SaveStateTo(*v->index, v->live, v->sequence, path, env);
-  }
-  return SaveStateTo(*index_, live_, seq_, path, env);
+  // Snapshot the published version: consistent even while the writer is
+  // mid-Apply on its clone.
+  std::shared_ptr<const TableVersion> v = cc_->table->Acquire();
+  return SaveStateTo(*v->index, v->live, v->sequence, path, env);
 }
 
 Status MetricDB::Save(const std::string& path) const {
@@ -751,12 +729,12 @@ StatusOr<MetricDB> MetricDB::FromPayload(const std::string& payload) {
 
 // -- updates ------------------------------------------------------------------
 
-void MetricDB::ApplyToIndex(const UpdateOp& op) {
+void MetricDB::ApplyToIndex(MetricIndex* index, const UpdateOp& op) {
   if (op.op == WalOp::kInsert) {
-    index_->Insert(op.id);
+    index->Insert(op.id);
     live_[op.id] = 1;
   } else {
-    index_->Remove(op.id);
+    index->Remove(op.id);
     live_[op.id] = 0;
   }
   ++seq_;
@@ -830,34 +808,21 @@ Status MetricDB::Apply(const std::vector<UpdateOp>& ops,
       return logged;
     }
   }
-  if (cc_->table != nullptr) {
-    // Shadow apply: published versions are immutable by contract, so
-    // the batch lands in a clone (copy-on-write -- every untouched
-    // 256-row pivot-table block is shared) which then becomes both the
-    // next published version and the writer's new working index.
-    std::shared_ptr<MetricIndex> clone = index_->Clone();
-    for (const UpdateOp& op : ops) {
-      if (op.op == WalOp::kInsert) {
-        clone->Insert(op.id);
-        live_[op.id] = 1;
-      } else {
-        clone->Remove(op.id);
-        live_[op.id] = 0;
-      }
-      ++seq_;
-    }
-    auto v = std::make_shared<TableVersion>();
-    v->data = data_;
-    v->metric = metric_;
-    v->pivots = pivots_;
-    v->index = clone;
-    v->live = live_;
-    v->sequence = seq_;
-    index_ = std::move(clone);
-    cc_->table->Publish(std::move(v));
-  } else {
-    for (const UpdateOp& op : ops) ApplyToIndex(op);
-  }
+  // Shadow apply: published versions are immutable by contract, so the
+  // batch lands in a clone (copy-on-write -- untouched pivot-table
+  // blocks and disk pages are shared) which then becomes both the next
+  // published version and the writer's new working index.
+  std::shared_ptr<MetricIndex> clone = index_->Clone();
+  for (const UpdateOp& op : ops) ApplyToIndex(clone.get(), op);
+  auto v = std::make_shared<TableVersion>();
+  v->data = data_;
+  v->metric = metric_;
+  v->pivots = pivots_;
+  v->index = clone;
+  v->live = live_;
+  v->sequence = seq_;
+  index_ = std::move(clone);
+  cc_->table->Publish(std::move(v));
   return OkStatus();
 }
 
@@ -876,24 +841,25 @@ Status MetricDB::RotateCheckpoint() {
   PMI_RETURN_IF_ERROR(env_->SyncDir(dir_));
   wal_ = std::make_unique<WalWriter>(std::move(wal_file), dopts_.sync_mode,
                                      dopts_.sync_interval_commits);
+  PruneGenerationsBelow(checkpoint_gen_);
+  checkpoint_gen_ = next;
+  return OkStatus();
+}
 
+void MetricDB::PruneGenerationsBelow(uint64_t keep_from) {
   // Retention window: the new generation plus the previous one (the
   // corruption fallback).  Pruning is best-effort -- a leftover file
   // costs disk, not correctness.
   StatusOr<std::vector<std::string>> names = env_->ListDir(dir_);
-  if (names.ok()) {
-    const uint64_t keep_from = checkpoint_gen_;
-    for (const std::string& name : *names) {
-      uint64_t gen = 0;
-      if ((ParseGenName(name, "ckpt-", ".pmidb", &gen) ||
-           ParseGenName(name, "wal-", ".log", &gen)) &&
-          gen < keep_from) {
-        env_->RemoveFile(JoinPath(dir_, name));
-      }
+  if (!names.ok()) return;
+  for (const std::string& name : *names) {
+    uint64_t gen = 0;
+    if ((ParseGenName(name, "ckpt-", ".pmidb", &gen) ||
+         ParseGenName(name, "wal-", ".log", &gen)) &&
+        gen < keep_from) {
+      env_->RemoveFile(JoinPath(dir_, name));
     }
   }
-  checkpoint_gen_ = next;
-  return OkStatus();
 }
 
 Status MetricDB::Checkpoint() {
@@ -903,27 +869,9 @@ Status MetricDB::Checkpoint() {
         "OpenDurable)");
   }
   std::lock_guard<std::mutex> ckpt_lock(cc_->checkpoint_mu);
-  if (cc_->table == nullptr) {
-    // Legacy serialized mode: the whole rotation runs under the writer
-    // lock.
-    std::lock_guard<std::mutex> lock(cc_->writer_mu);
-    if (cc_->closed.load(std::memory_order_acquire)) {
-      return FailedPreconditionError("database is closed");
-    }
-    PMI_RETURN_IF_ERROR(write_status_);
-    Status rotated = RotateCheckpoint();
-    if (!rotated.ok()) {
-      // A half-rotated directory is ambiguous (e.g. the new checkpoint
-      // landed but its WAL did not): acknowledging more writes could
-      // put them in a generation recovery never replays.  Go read-only.
-      write_status_ = rotated;
-    }
-    return rotated;
-  }
-
-  // Versioned concurrent checkpoint: pin the state and rotate the WAL
-  // under the writer lock (cheap), then serialize the pinned version
-  // outside it while updates and queries proceed.
+  // Pin the state and rotate the WAL under the writer lock (cheap), then
+  // serialize the pinned version outside it while updates and queries
+  // proceed.
   std::shared_ptr<const TableVersion> v;
   uint64_t next = 0;
   {
@@ -973,20 +921,7 @@ Status MetricDB::Checkpoint() {
     return saved;
   }
   checkpoint_gen_ = next;
-  // Retention window as in RotateCheckpoint: the new generation plus
-  // the previous one.  Best-effort.
-  StatusOr<std::vector<std::string>> names = env_->ListDir(dir_);
-  if (names.ok()) {
-    const uint64_t keep_from = next - 1;
-    for (const std::string& name : *names) {
-      uint64_t gen = 0;
-      if ((ParseGenName(name, "ckpt-", ".pmidb", &gen) ||
-           ParseGenName(name, "wal-", ".log", &gen)) &&
-          gen < keep_from) {
-        env_->RemoveFile(JoinPath(dir_, name));
-      }
-    }
-  }
+  PruneGenerationsBelow(next - 1);
   return OkStatus();
 }
 
@@ -1049,7 +984,7 @@ Status MetricDB::ReplayWalGenerations(Env* env, const std::string& dir,
             " is inconsistent with the recovered liveness of object " +
             std::to_string(record.id));
       }
-      ApplyToIndex(UpdateOp{record.op, record.id});
+      ApplyToIndex(index_.get(), UpdateOp{record.op, record.id});
     }
     prior_tail_truncated = replay.truncated_tail;
     if (replay.truncated_tail &&
@@ -1137,12 +1072,12 @@ StatusOr<MetricDB> MetricDB::OpenDurable(const std::string& dir,
     // checkpoint is never overwritten (it stays around for forensics
     // until the retention window passes it by).
     db.checkpoint_gen_ = max_gen;
+    // Publication starts only now that replay has settled the state the
+    // initial version must reflect.
+    db.InitVersioning();
     // Recovery re-checkpoints: the recovered state becomes durable on
     // its own, and torn WAL debris drops out of the replay path.
     PMI_RETURN_IF_ERROR(db.RotateCheckpoint());
-    // Versioning starts only now that replay and re-checkpointing have
-    // settled the state the initial version must reflect.
-    db.InitVersioning();
     db.cc_->dir_lock = std::move(lock_release.lock);
     return db;
   }

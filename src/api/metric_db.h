@@ -20,22 +20,19 @@
 //     file (src/api/snapshot.h), so indexes that implement persistence
 //     restore with zero distance computations.
 //
-// Concurrency model (see README "Concurrency model"): when the index
-// supports shadow-copy cloning (LinearScan, LAESA, EPT, EPT*, FQA, VPT
-// and MVPT), the facade runs an epoch-versioned read/write core.
-// Readers call Query/GetReadView from any number of threads, lock-free
-// on the hot path: each query pins the currently published immutable
-// TableVersion through an epoch slot and runs the const batch engine
-// against it.  The single writer (Apply/Insert/Remove, serialized on an
-// internal writer lock) clones the index -- copy-on-write at
-// 256-row pivot-table-block granularity -- applies the batch to the
-// clone, and publishes it atomically; superseded versions are reclaimed
-// once the last pinned reader drains.  Checkpoint snapshots a pinned
-// version concurrently with both readers and the writer.  A database
-// whose write path went read-only (WAL fault) keeps serving reads from
-// the last published version.  Indexes without clone support keep the
-// legacy serialized behavior (operations mutually exclude on the writer
-// lock).
+// Concurrency model (see README "Concurrency model"): every database
+// runs an epoch-versioned read/write core.  Readers call
+// Query/GetReadView from any number of threads, lock-free on the hot
+// path: each query pins the currently published immutable TableVersion
+// through an epoch slot and runs the const batch engine against it.
+// The single writer (Apply/Insert/Remove, serialized on an internal
+// writer lock) clones the index -- copy-on-write, sharing untouched
+// pivot-table blocks and disk pages -- applies the batch to the clone,
+// and publishes it atomically; superseded versions are reclaimed once
+// the last pinned reader drains.  Checkpoint snapshots a pinned version
+// concurrently with both readers and the writer.  A database whose
+// write path went read-only (WAL fault) keeps serving reads from the
+// last published version.
 
 #ifndef PMI_API_METRIC_DB_H_
 #define PMI_API_METRIC_DB_H_
@@ -319,10 +316,10 @@ class MetricDB {
 
   /// Durable databases only: writes a fresh checkpoint of the current
   /// state, starts a new WAL generation, and prunes generations older
-  /// than the fallback window (previous checkpoint + its log).  On an
-  /// epoch-versioned database the snapshot serializes a pinned version
-  /// OUTSIDE the writer lock, so updates and queries proceed while the
-  /// checkpoint file is being written.
+  /// than the fallback window (previous checkpoint + its log).  The
+  /// snapshot serializes a pinned version OUTSIDE the writer lock, so
+  /// updates and queries proceed while the checkpoint file is being
+  /// written.
   Status Checkpoint();
 
   /// Shuts the database down: refuses new queries and updates, syncs and
@@ -364,10 +361,9 @@ class MetricDB {
   /// mode (queries still work; updates are refused with this status).
   const Status& write_status() const { return write_status_; }
 
-  /// Answers `request`; batches fan out across the thread pool.  On an
-  /// epoch-versioned database this is safe to call from any number of
-  /// threads concurrently with Apply/Checkpoint; each call answers
-  /// against one consistent pinned version.
+  /// Answers `request`; batches fan out across the thread pool.  Safe to
+  /// call from any number of threads concurrently with Apply/Checkpoint;
+  /// each call answers against one consistent pinned version.
   StatusOr<QueryResult> Query(const QueryRequest& request) const;
 
   /// A consistent snapshot of the database for multi-query read
@@ -375,8 +371,8 @@ class MetricDB {
   /// sequence() -- answers against the same pinned version, no matter
   /// how many updates the writer publishes meanwhile.  Copyable and
   /// cheap; the underlying version stays alive until the last view (and
-  /// pinned reader) drops.  kFailedPrecondition when the index does not
-  /// support versioned reads or the database is closed.
+  /// pinned reader) drops.  kFailedPrecondition when the database is
+  /// closed.
   class ReadView {
    public:
     /// Sequence number of the pinned version (same meaning as
@@ -436,18 +432,13 @@ class MetricDB {
   static Status ValidateRequest(const QueryRequest& request,
                                 const Dataset& data);
 
-  /// Answers an already-validated `request` against `index` -- a pinned
-  /// version's, or the live one under the writer lock.
+  /// Answers an already-validated `request` against a pinned version's
+  /// `index`.
   static QueryResult Answer(const MetricIndex& index,
                             const QueryRequest& request);
 
-  /// True once the epoch-versioned read/write core is active (the index
-  /// supports shadow-copy cloning).
-  bool versioned() const;
-
-  /// Probes the index for clone support and, when present, publishes the
-  /// initial version.  Called once the state is final: end of Create,
-  /// end of OpenDurable (after WAL replay).
+  /// Publishes the initial version.  Called once the state is final: end
+  /// of Create and Open, and in OpenDurable after WAL replay.
   void InitVersioning();
 
   /// Serializes database state (config, dataset, pivots, `index` state,
@@ -463,8 +454,7 @@ class MetricDB {
   static StatusOr<MetricDB> FromPayload(const std::string& payload);
 
   /// Save through a specific Env (durable temp-write + rename + dir
-  /// sync).  Snapshots the currently published version on a versioned
-  /// database, the live members otherwise.
+  /// sync) of the currently published version.
   Status SaveTo(const std::string& path, Env* env) const;
 
   /// SaveTo for one explicit state triple.
@@ -472,9 +462,10 @@ class MetricDB {
                      const std::vector<uint8_t>& live, uint64_t seq,
                      const std::string& path, Env* env) const;
 
-  /// Applies one already-validated, already-logged update to the index
-  /// and the liveness/sequence bookkeeping.
-  void ApplyToIndex(const UpdateOp& op);
+  /// Applies one already-validated, already-logged update to `index`
+  /// and to the liveness/sequence bookkeeping: Apply's clone, or index_
+  /// itself during WAL replay, before the first version is published.
+  void ApplyToIndex(MetricIndex* index, const UpdateOp& op);
 
   /// Replays wal-<g> for g = first_gen, first_gen+1, ... on top of the
   /// current state; kDataLoss on sequence gaps or liveness-inconsistent
@@ -484,6 +475,9 @@ class MetricDB {
 
   /// Writes ckpt-(gen+1), opens wal-(gen+1), prunes generation gen-1.
   Status RotateCheckpoint();
+
+  /// Deletes the ckpt-/wal- generations below `keep_from`; best-effort.
+  void PruneGenerationsBelow(uint64_t keep_from);
 
   MetricDBConfig config_;
   // Metric parameters as actually instantiated (param derived from the
@@ -497,10 +491,10 @@ class MetricDB {
   std::shared_ptr<Dataset> data_;
   std::shared_ptr<Metric> metric_;
   std::shared_ptr<PivotSet> pivots_;
-  // The writer's working index.  In versioned mode this exact object is
-  // what the current TableVersion references; Apply never mutates it --
-  // it clones, applies to the clone, publishes, and reseats this
-  // pointer, so every published version stays immutable forever.
+  // The writer's working index.  This exact object is what the current
+  // TableVersion references; Apply never mutates it -- it clones,
+  // applies to the clone, publishes, and reseats this pointer, so every
+  // published version stays immutable forever.
   std::shared_ptr<MetricIndex> index_;
   OpStats build_stats_;
   bool restored_ = false;
@@ -510,12 +504,12 @@ class MetricDB {
   // not).  Null only in a moved-from facade.
   struct Concurrency {
     /// Serializes the write path (Apply, checkpoint's WAL rotation,
-    /// Close) and, in legacy non-versioned mode, queries too.
+    /// Close).
     std::mutex writer_mu;
     /// Serializes whole Checkpoint calls against each other without
     /// blocking the writer for the slow serialization phase.
     std::mutex checkpoint_mu;
-    /// Epoch-versioned publication point; null in legacy mode.
+    /// Epoch-versioned publication point; set by InitVersioning.
     std::unique_ptr<VersionedTable> table;
     /// Flipped by Close(); checked (acquire) at every entry point.
     std::atomic<bool> closed{false};

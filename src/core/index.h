@@ -161,16 +161,15 @@ class MetricIndex {
     return MeasureQuery([&] { KnnImpl(q, k, out); });
   }
 
-  /// Deep-copies this index into an independent instance bound to the
-  /// same (data, metric, pivots).  The clone answers queries identically
-  /// and its mutations never affect the source -- bulk state held in a
-  /// PivotTable is shared copy-on-write at 256-row block granularity, so
-  /// cloning is O(blocks) pointer copies and a single-row update touches
-  /// one block.  This is the shadow-copy primitive of the concurrency
-  /// layer (the writer clones, applies, publishes).  Fail-safe default:
-  /// nullptr, meaning the index does not support shadow-copy updates and
-  /// the facade keeps it on the serialized legacy path.
-  virtual std::unique_ptr<MetricIndex> Clone() const { return nullptr; }
+  /// Copies this built index into an independent instance bound to the
+  /// same (data, metric, pivots).  The clone answers queries and applies
+  /// updates exactly as the source would -- results, compdists and
+  /// logical PA -- and its mutations never affect the source.  Pivot
+  /// tables (256-row blocks) and disk pages (PagedFile::Clone) are
+  /// shared copy-on-write, so an update copies only what it touches.
+  /// This is the shadow-copy primitive of the concurrency layer (the
+  /// writer clones, applies, publishes).
+  virtual std::unique_ptr<MetricIndex> Clone() const = 0;
 
   /// True when this index implements the block-major batch engine
   /// (RangeBatchBlockImpl / KnnBatchBlockImpl): batch queries walk the

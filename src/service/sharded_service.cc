@@ -456,25 +456,17 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
     SlotView sv = SnapshotSlot(s);
     StatusOr<QueryResult> r = [&]() -> StatusOr<QueryResult> {
       if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
-        // Versioned shards answer at a pinned epoch version; indexes
-        // without clone support fall back to the shard's serialized
-        // path.
+        // Healthy shards answer at a pinned epoch version.
         StatusOr<MetricDB::ReadView> view = sv.db->GetReadView();
-        StatusOr<QueryResult> live =
-            view.ok()
-                ? run_chunked(
-                      [&](const QueryRequest& q) { return view->Query(q); })
-                : run_chunked(
-                      [&](const QueryRequest& q) { return sv.db->Query(q); });
-        if (live.ok() ||
-            live.status().code() == StatusCode::kDeadlineExceeded) {
-          return live;
+        if (view.ok()) {
+          return run_chunked(
+              [&](const QueryRequest& q) { return view->Query(q); });
         }
-        // The instance may have been hot-swapped (closed) under us; if
-        // the slot left the healthy state, fall back to its stale view
-        // rather than surfacing an untyped internal error.
+        // Only a closed instance refuses a view: it may have been
+        // hot-swapped under us.  If the slot left the healthy state,
+        // fall back to its stale view rather than surfacing the error.
         sv = SnapshotSlot(s);
-        if (sv.health == ShardHealth::kHealthy) return live;
+        if (sv.health == ShardHealth::kHealthy) return view.status();
       }
       if (sv.stale_view.has_value()) {
         return run_chunked(

@@ -199,8 +199,8 @@ class ShardedService {
   /// A consistent per-shard snapshot bundle: one pinned ReadView per
   /// shard, taken in shard order.  Queries through it bypass admission
   /// (direct read path) and answer against exactly these versions; the
-  /// view may outlive the service.  kFailedPrecondition when a shard's
-  /// index does not support versioned reads or the service is closed.
+  /// view may outlive the service.  kFailedPrecondition when the
+  /// service is closed.
   class ReadView {
    public:
     /// Per-shard pinned sequences (the service's consistency token).

@@ -39,6 +39,12 @@ class BPlusTree {
   BPlusTree(PagedFile* file, uint32_t value_size, uint32_t agg_dims = 0,
             PointFn point_fn = nullptr);
 
+  /// This tree over `file`, a PagedFile::Clone of its file: root,
+  /// height, entry count and point function carry over.
+  BPlusTree(const BPlusTree& o, PagedFile* file) : BPlusTree(o) {
+    file_ = file;
+  }
+
   uint32_t value_size() const { return value_size_; }
   uint32_t agg_dims() const { return agg_dims_; }
   uint32_t height() const { return height_; }
@@ -90,6 +96,8 @@ class BPlusTree {
   size_t disk_bytes() const { return file_->bytes(); }
 
  private:
+  BPlusTree(const BPlusTree&) = default;  // callers rebind the file
+
   struct Summary {
     uint64_t max_key = 0;
     std::vector<float> agg;  // lo[agg_dims] ++ hi[agg_dims]

@@ -21,14 +21,14 @@ BufferPool::~BufferPool() {
 
 uint64_t BufferPool::RegisterStore(PageStore* store,
                                    PerfCounters* fallback_counters) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   uint64_t id = next_store_id_++;
   stores_[id] = StoreEntry{store, fallback_counters};
   return id;
 }
 
 void BufferPool::UnregisterStore(uint64_t store_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   for (auto& up : frames_) {
     Frame* f = up.get();
     if (f->valid && f->store_id == store_id) DetachFrameLocked(f);
@@ -113,7 +113,7 @@ BufferPool::Frame* BufferPool::AcquireFrameLocked() {
 
 StatusOr<PageHandle> BufferPool::Pin(uint64_t store_id, PageId page,
                                      bool for_write, bool load) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   auto sit = stores_.find(store_id);
   if (sit == stores_.end()) {
     return FailedPreconditionError("buffer pool: pin on unregistered store");
@@ -152,7 +152,7 @@ StatusOr<PageHandle> BufferPool::Pin(uint64_t store_id, PageId page,
 }
 
 void BufferPool::Readahead(uint64_t store_id, PageId first, uint32_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   auto sit = stores_.find(store_id);
   if (sit == stores_.end()) return;
   PerfCounters* ctr = CounterScope::Active(sit->second.counters);
@@ -187,7 +187,7 @@ void BufferPool::Readahead(uint64_t store_id, PageId first, uint32_t count) {
 }
 
 Status BufferPool::FlushStore(uint64_t store_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   auto sit = stores_.find(store_id);
   if (sit == stores_.end()) {
     return FailedPreconditionError("buffer pool: flush on unregistered store");
@@ -211,7 +211,7 @@ Status BufferPool::FlushStore(uint64_t store_id) {
 }
 
 Status BufferPool::FlushPageIfDirty(uint64_t store_id, PageId page) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   auto sit = stores_.find(store_id);
   if (sit == stores_.end()) return OkStatus();
   auto it = map_.find(FrameKey(store_id, page));
@@ -230,7 +230,7 @@ Status BufferPool::FlushPageIfDirty(uint64_t store_id, PageId page) {
 }
 
 Status BufferPool::EvictPage(uint64_t store_id, PageId page) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   auto it = map_.find(FrameKey(store_id, page));
   if (it == map_.end()) return OkStatus();
   Frame* f = it->second;
@@ -259,7 +259,7 @@ Status BufferPool::EvictPage(uint64_t store_id, PageId page) {
 }
 
 void BufferPool::DropStore(uint64_t store_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   for (auto& up : frames_) {
     Frame* f = up.get();
     if (f->valid && f->store_id == store_id) DetachFrameLocked(f);
@@ -267,7 +267,7 @@ void BufferPool::DropStore(uint64_t store_id) {
 }
 
 void BufferPool::DropCleanFrames() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   for (auto& up : frames_) {
     Frame* f = up.get();
     if (!f->valid || f->dirty) continue;
@@ -292,7 +292,7 @@ BufferPoolStats BufferPool::stats() const {
 }
 
 size_t BufferPool::resident_frames() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<PoolMutex> lock(mu_);
   return map_.size();
 }
 

@@ -34,6 +34,8 @@
 //
 // Locking: one mutex serializes pool metadata and store I/O (simple and
 // TSan-clean; the stores are memcpy-fast in the common in-memory case).
+// Every pin of every store takes it, so it spins briefly before parking
+// (PoolMutex).
 // Pin counts are atomic so handle release never takes the lock, and the
 // eviction sweep's pins==0 check (acquire) pairs with the release
 // decrement in PageHandle to order a writer's last stores before any
@@ -63,6 +65,31 @@ using PageId = uint32_t;
 inline constexpr PageId kInvalidPageId = UINT32_MAX;
 
 class PageHandle;
+
+/// The pool mutex.  Readers of every store enter it once per page pin,
+/// for tens of nanoseconds, so concurrent readers meet here constantly,
+/// and parking each waiter in the kernel costs far more than the
+/// critical section.  PoolMutex retries try_lock for a bounded spin
+/// before it blocks like std::mutex.
+class PoolMutex {
+ public:
+  void lock() {
+    for (int i = 0; i < kSpins; ++i) {
+      if (mu_.try_lock()) return;
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#elif defined(__aarch64__)
+      asm volatile("yield");
+#endif
+    }
+    mu_.lock();
+  }
+  void unlock() { mu_.unlock(); }
+
+ private:
+  static constexpr int kSpins = 400;
+  std::mutex mu_;
+};
 
 /// The backing-store seam under the pool: where page bytes come from on
 /// a miss and go to on a write-back.  Both calls are made with the pool
@@ -191,7 +218,7 @@ class BufferPool {
   const uint32_t page_size_;
   const size_t capacity_frames_;
 
-  mutable std::mutex mu_;
+  mutable PoolMutex mu_;
   std::vector<std::unique_ptr<Frame>> frames_;
   std::vector<Frame*> free_;
   size_t clock_hand_ = 0;

@@ -78,6 +78,18 @@ class MTree {
         Options options,
         std::function<void(ObjectId, PageId)> on_place = nullptr);
 
+  /// This tree over `file`, a PagedFile::Clone of its file, counting
+  /// through `dist` and reporting to `on_place`: root, height, size and
+  /// the split-sampling RNG state carry over, so later inserts split
+  /// exactly as they would have on the source.
+  MTree(const MTree& o, PagedFile* file, DistanceComputer dist,
+        std::function<void(ObjectId, PageId)> on_place = nullptr)
+      : MTree(o) {
+    file_ = file;
+    dist_ = dist;
+    on_place_ = std::move(on_place);
+  }
+
   PageId root() const { return root_; }
   uint32_t height() const { return height_; }
   size_t size() const { return size_; }
@@ -113,6 +125,8 @@ class MTree {
   size_t disk_bytes() const { return file_->bytes(); }
 
  private:
+  MTree(const MTree&) = default;  // callers rebind file, dist, on_place
+
   struct SplitOutcome {
     bool split = false;
     MTreeInternalEntry replacement;  // re-describes the old page

@@ -5,6 +5,17 @@
 #include <cstring>
 
 namespace pmi {
+namespace {
+
+/// A zeroed page buffer.  Allocated apart from its control block (not
+/// make_shared) so that it is exactly one page, the size of every pool
+/// frame too: a freed page is then reused in place instead of leaving
+/// page-plus-a-bit holes that fragment the heap across index rebuilds.
+std::shared_ptr<char[]> NewPage(uint32_t page_size) {
+  return std::shared_ptr<char[]>(new char[page_size]());
+}
+
+}  // namespace
 
 PagedFile::PagedFile(uint32_t page_size, uint32_t cache_bytes,
                      PerfCounters* counters, std::shared_ptr<BufferPool> pool)
@@ -22,10 +33,25 @@ PagedFile::PagedFile(uint32_t page_size, uint32_t cache_bytes,
 
 PagedFile::~PagedFile() { pool_->UnregisterStore(store_id_); }
 
+std::unique_ptr<PagedFile> PagedFile::Clone(PerfCounters* counters) const {
+  auto clone = std::make_unique<PagedFile>(
+      page_size_, capacity_frames_ * page_size_, counters, pool_);
+  {
+    std::lock_guard<std::mutex> lock(pages_mu_);
+    clone->pages_ = pages_;  // shares every buffer; see WriteBack
+  }
+  std::lock_guard<std::mutex> lock(sim_mu_);
+  clone->lru_ = lru_;
+  for (auto it = clone->lru_.begin(); it != clone->lru_.end(); ++it) {
+    clone->resident_[it->id] = it;
+  }
+  return clone;
+}
+
 PageId PagedFile::Allocate() {
-  pages_.push_back(std::make_unique<char[]>(page_size_));
-  std::memset(pages_.back().get(), 0, page_size_);
-  return num_pages() - 1;
+  std::lock_guard<std::mutex> lock(pages_mu_);
+  pages_.push_back(NewPage(page_size_));
+  return static_cast<PageId>(pages_.size() - 1);
 }
 
 namespace {
@@ -39,13 +65,20 @@ Status PageOutOfRange(const char* verb, PageId id, uint32_t num_pages) {
 }  // namespace
 
 Status PagedFile::ReadInto(PageId page, char* dst) {
+  std::lock_guard<std::mutex> lock(pages_mu_);
   assert(page < pages_.size());
   std::memcpy(dst, pages_[page].get(), page_size_);
   return OkStatus();
 }
 
 Status PagedFile::WriteBack(PageId page, const char* src) {
+  std::lock_guard<std::mutex> lock(pages_mu_);
   assert(page < pages_.size());
+  // Copy-on-write: a buffer another file still references is replaced,
+  // never overwritten.  A count read as stale-high only costs a copy.
+  if (pages_[page].use_count() > 1) {
+    pages_[page] = NewPage(page_size_);
+  }
   std::memcpy(pages_[page].get(), src, page_size_);
   return OkStatus();
 }
@@ -118,6 +151,7 @@ void PagedFile::DropCache() {
 
 const char* PagedFile::RawPage(PageId id) const {
   CheckOk(pool_->FlushPageIfDirty(store_id_, id), "PagedFile::RawPage");
+  std::lock_guard<std::mutex> lock(pages_mu_);
   return pages_[id].get();
 }
 
@@ -128,14 +162,14 @@ void PagedFile::ResetPages() {
     lru_.clear();
     resident_.clear();
   }
+  std::lock_guard<std::mutex> lock(pages_mu_);
   pages_.clear();
 }
 
 char* PagedFile::AppendRawPage() {
-  pages_.push_back(std::make_unique<char[]>(page_size_));
-  char* p = pages_.back().get();
-  std::memset(p, 0, page_size_);
-  return p;
+  std::lock_guard<std::mutex> lock(pages_mu_);
+  pages_.push_back(NewPage(page_size_));
+  return pages_.back().get();
 }
 
 void PagedFile::TouchLocked(PageId id, bool dirty) const {

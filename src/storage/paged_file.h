@@ -22,6 +22,10 @@
 // attribute both logical and physical I/O to the measuring query; the
 // logical simulation itself is mutex-guarded and deterministic in the
 // order Touch is called.
+//
+// Page buffers are reference-counted and shared copy-on-write between a
+// file and its clones (Clone): a clone costs O(pages) pointer copies,
+// and whichever file first writes a shared page back gets its own copy.
 
 #ifndef PMI_STORAGE_PAGED_FILE_H_
 #define PMI_STORAGE_PAGED_FILE_H_
@@ -54,6 +58,16 @@ class PagedFile : private PageStore {
 
   PagedFile(const PagedFile&) = delete;
   PagedFile& operator=(const PagedFile&) = delete;
+
+  /// The shadow-copy primitive of the disk indexes: a file with this
+  /// file's contents that shares every page buffer copy-on-write.  The
+  /// clone registers as a new store in the same BufferPool, charges
+  /// `counters`, and starts from a copy of this file's logical LRU
+  /// simulation, so an update applied to the clone charges exactly the
+  /// logical PA it would have charged here.  The source must hold no
+  /// dirty pool frames -- every index flushes at the end of Build,
+  /// Insert and Remove.
+  std::unique_ptr<PagedFile> Clone(PerfCounters* counters) const;
 
   uint32_t page_size() const { return page_size_; }
   uint32_t num_pages() const { return static_cast<uint32_t>(pages_.size()); }
@@ -114,7 +128,8 @@ class PagedFile : private PageStore {
   char* AppendRawPage();
 
  private:
-  // PageStore over pages_ (the "disk"); runs under the pool mutex.
+  // PageStore over pages_ (the "disk"); runs under the pool mutex.  A
+  // write-back to a page shared with another file copies it first.
   Status ReadInto(PageId page, char* dst) override;
   Status WriteBack(PageId page, const char* src) override;
 
@@ -126,7 +141,10 @@ class PagedFile : private PageStore {
   PerfCounters* counters_;
   std::shared_ptr<BufferPool> pool_;
   uint64_t store_id_ = 0;
-  std::vector<std::unique_ptr<char[]>> pages_;
+  // Guards the elements of pages_ against write-backs run by another
+  // thread's pool eviction; taken inside the pool mutex, never around it.
+  mutable std::mutex pages_mu_;
+  std::vector<std::shared_ptr<char[]>> pages_;
 
   struct SimFrame {
     PageId id;

@@ -31,6 +31,12 @@ class RecordFile {
  public:
   explicit RecordFile(PagedFile* file) : file_(file) {}
 
+  /// This store over `file`, a PagedFile::Clone of its file: the page
+  /// map and append position carry over.
+  RecordFile(const RecordFile& o, PagedFile* file) : RecordFile(o) {
+    file_ = file;
+  }
+
   /// Appends `len` bytes; returns where they landed.
   RafRef Append(const char* data, uint32_t len);
 
@@ -44,6 +50,8 @@ class RecordFile {
   size_t disk_bytes() const { return file_->bytes(); }
 
  private:
+  RecordFile(const RecordFile&) = default;  // callers rebind the file
+
   PagedFile* file_;
   std::vector<PageId> pages_;  // RAF byte space -> file pages, in order
   uint64_t end_ = 0;           // append position

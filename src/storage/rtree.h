@@ -32,6 +32,10 @@ class RTree {
 
   RTree(PagedFile* file, uint32_t dims);
 
+  /// This tree over `file`, a PagedFile::Clone of its file: root and
+  /// height carry over.
+  RTree(const RTree& o, PagedFile* file) : RTree(o) { file_ = file; }
+
   uint32_t dims() const { return dims_; }
   PageId root() const { return root_; }
   uint32_t height() const { return height_; }
@@ -69,6 +73,8 @@ class RTree {
   size_t disk_bytes() const { return file_->bytes(); }
 
  private:
+  RTree(const RTree&) = default;  // callers rebind the file
+
   struct Rect {
     std::vector<float> lo, hi;
   };

@@ -12,14 +12,15 @@ namespace pmi {
 void Aesa::BuildImpl() {
   n_ = data().size();
   assert(n_ <= 20000 && "AESA is quadratic; use LAESA for larger datasets");
-  matrix_.assign(size_t(n_) * n_, 0);
+  matrix_ = std::make_shared<std::vector<double>>(size_t(n_) * n_, 0);
+  std::vector<double>& matrix = *matrix_;
   live_.assign(n_, true);
   DistanceComputer d = dist();
   for (ObjectId i = 0; i < n_; ++i) {
     for (ObjectId j = i + 1; j < n_; ++j) {
       double dd = d(data().view(i), data().view(j));
-      matrix_[size_t(i) * n_ + j] = dd;
-      matrix_[size_t(j) * n_ + i] = dd;
+      matrix[size_t(i) * n_ + j] = dd;
+      matrix[size_t(j) * n_ + i] = dd;
     }
   }
 }
@@ -45,7 +46,7 @@ void Aesa::RangeImpl(const ObjectView& q, double r,
     active[best] = false;
     double dq = d(q, data().view(best));
     if (dq <= r) out->push_back(best);
-    const double* mrow = &matrix_[size_t(best) * n_];
+    const double* mrow = &(*matrix_)[size_t(best) * n_];
     for (ObjectId i = 0; i < n_; ++i) {
       if (active[i]) lb[i] = std::max(lb[i], std::fabs(dq - mrow[i]));
     }
@@ -71,7 +72,7 @@ void Aesa::KnnImpl(const ObjectView& q, size_t k,
     active[best] = false;
     double dq = d(q, data().view(best));
     heap.Push(best, dq);
-    const double* mrow = &matrix_[size_t(best) * n_];
+    const double* mrow = &(*matrix_)[size_t(best) * n_];
     for (ObjectId i = 0; i < n_; ++i) {
       if (active[i]) lb[i] = std::max(lb[i], std::fabs(dq - mrow[i]));
     }
@@ -81,21 +82,35 @@ void Aesa::KnnImpl(const ObjectView& q, size_t k,
 
 void Aesa::InsertImpl(ObjectId id) {
   // The matrix row/column is recomputed: re-insertion costs n distances,
-  // the honest price of keeping the full matrix current.
+  // the honest price of keeping the full matrix current.  The column
+  // touches every row, so a matrix shared with a clone is copied whole.
+  if (matrix_.use_count() > 1) {
+    matrix_ = std::make_shared<std::vector<double>>(*matrix_);
+  }
+  std::vector<double>& matrix = *matrix_;
   DistanceComputer d = dist();
   for (ObjectId j = 0; j < n_; ++j) {
     if (j == id || !live_[j]) continue;
     double dd = d(data().view(id), data().view(j));
-    matrix_[size_t(id) * n_ + j] = dd;
-    matrix_[size_t(j) * n_ + id] = dd;
+    matrix[size_t(id) * n_ + j] = dd;
+    matrix[size_t(j) * n_ + id] = dd;
   }
   live_[id] = true;
 }
 
 void Aesa::RemoveImpl(ObjectId id) { live_[id] = false; }
 
+std::unique_ptr<MetricIndex> Aesa::Clone() const {
+  auto clone = std::make_unique<Aesa>(options_);
+  clone->CopyBaseFrom(*this);
+  clone->n_ = n_;
+  clone->matrix_ = matrix_;
+  clone->live_ = live_;
+  return clone;
+}
+
 size_t Aesa::memory_bytes() const {
-  return matrix_.size() * sizeof(double) + live_.size() / 8 +
+  return matrix_->size() * sizeof(double) + live_.size() / 8 +
          data().total_payload_bytes();
 }
 

@@ -12,6 +12,7 @@
 #ifndef PMI_TABLES_AESA_H_
 #define PMI_TABLES_AESA_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/core/index.h"
@@ -26,6 +27,7 @@ class Aesa final : public MetricIndex {
 
   std::string name() const override { return "AESA"; }
   bool disk_based() const override { return false; }
+  std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 
  protected:
@@ -38,10 +40,13 @@ class Aesa final : public MetricIndex {
   void RemoveImpl(ObjectId id) override;
 
  private:
-  double cell(ObjectId a, ObjectId b) const { return matrix_[size_t(a) * n_ + b]; }
+  double cell(ObjectId a, ObjectId b) const {
+    return (*matrix_)[size_t(a) * n_ + b];
+  }
 
   uint32_t n_ = 0;
-  std::vector<double> matrix_;  // n x n
+  // n x n, shared with clones; Insert copies it first while shared.
+  std::shared_ptr<std::vector<double>> matrix_;
   std::vector<bool> live_;
 };
 

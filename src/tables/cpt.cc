@@ -15,9 +15,8 @@ void Cpt::BuildImpl() {
                                       &counters_, options_.buffer_pool);
   MTree::Options mo;
   mo.seed = options_.seed;
-  mtree_ = std::make_unique<MTree>(
-      file_.get(), data_, dist(), mo,
-      [this](ObjectId oid, PageId page) { leaf_of_[oid] = page; });
+  mtree_ = std::make_unique<MTree>(file_.get(), data_, dist(), mo,
+                                   LeafPointerUpdater());
 
   // The in-memory pivot-table half fills in parallel (same fixed
   // partitioning as LAESA); the M-tree half stays serial because every
@@ -152,6 +151,20 @@ void Cpt::RemoveImpl(ObjectId id) {
   file_->Flush();
 }
 
+std::unique_ptr<MetricIndex> Cpt::Clone() const {
+  auto clone = std::make_unique<Cpt>(options_);
+  clone->CopyBaseFrom(*this);
+  clone->oids_ = oids_;
+  clone->table_ = table_;  // copy-on-write: shares all 256-row blocks
+  clone->leaf_of_ = leaf_of_;
+  clone->file_ = file_->Clone(&clone->counters_);
+  clone->mtree_ = std::make_unique<MTree>(
+      *mtree_, clone->file_.get(),
+      DistanceComputer(metric_, &clone->counters_),
+      clone->LeafPointerUpdater());
+  return clone;
+}
+
 Status Cpt::SaveImpl(ByteSink* out) const {
   out->PutVector(oids_);
   SerializePivotTable(table_, out);
@@ -204,9 +217,8 @@ Status Cpt::LoadImpl(ByteSource* in) {
                                       &counters_, options_.buffer_pool);
   MTree::Options mo;
   mo.seed = options_.seed;
-  mtree_ = std::make_unique<MTree>(
-      file_.get(), data_, dist(), mo,
-      [this](ObjectId oid, PageId page) { leaf_of_[oid] = page; });
+  mtree_ = std::make_unique<MTree>(file_.get(), data_, dist(), mo,
+                                   LeafPointerUpdater());
   // The MTree constructor allocates a fresh root; drop it and refill the
   // file with the snapshot's page images (no PA charged), then point the
   // tree at the restored root.

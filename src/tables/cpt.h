@@ -11,6 +11,7 @@
 #ifndef PMI_TABLES_CPT_H_
 #define PMI_TABLES_CPT_H_
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +37,7 @@ class Cpt final : public MetricIndex {
   // reordering would change which buffer-pool accesses miss -- and PA is
   // an accounted cost here, not a hint.
   bool block_major_batches() const override { return true; }
+  std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
   size_t disk_bytes() const override;
 
@@ -58,6 +60,11 @@ class Cpt final : public MetricIndex {
   Status LoadImpl(ByteSource* in) override;
 
  private:
+  /// The M-tree's placement callback: keeps leaf_of_ current.
+  std::function<void(ObjectId, PageId)> LeafPointerUpdater() {
+    return [this](ObjectId oid, PageId page) { leaf_of_[oid] = page; };
+  }
+
   /// Reads object `id` from its M-tree leaf (charging the page access)
   /// and returns its distance to `q`, early-abandoning past `upper` (see
   /// Metric::BoundedDistance).

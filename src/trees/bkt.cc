@@ -168,6 +168,15 @@ void Bkt::RemoveImpl(ObjectId id) {
   RemoveFrom(root_.get(), id, data().view(id));
 }
 
+std::unique_ptr<MetricIndex> Bkt::Clone() const {
+  auto clone = std::make_unique<Bkt>(options_);
+  clone->CopyBaseFrom(*this);
+  if (root_) clone->root_ = std::make_unique<Node>(*root_);  // deep copy
+  clone->bucket_width_ = bucket_width_;
+  clone->rng_ = rng_;  // later leaf splits draw the same pivots
+  return clone;
+}
+
 size_t Bkt::NodeBytes(const Node& node) const {
   size_t n = sizeof(Node) + node.members.capacity() * sizeof(ObjectId) +
              node.kids.capacity() * sizeof(std::unique_ptr<Node>);

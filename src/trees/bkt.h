@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/child_vector.h"
 #include "src/core/index.h"
 #include "src/core/rng.h"
 
@@ -26,6 +27,7 @@ class Bkt final : public MetricIndex {
 
   std::string name() const override { return "BKT"; }
   bool disk_based() const override { return false; }
+  std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 
  protected:
@@ -44,7 +46,7 @@ class Bkt final : public MetricIndex {
     // index only clears `pivot_live` (it keeps routing).
     ObjectId pivot = kInvalidObjectId;
     bool pivot_live = true;
-    std::vector<std::unique_ptr<Node>> kids;  // tree_fanout buckets
+    ChildVector<Node> kids;                   // tree_fanout buckets
     std::vector<ObjectId> members;            // leaf payload
   };
 

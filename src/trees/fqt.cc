@@ -164,6 +164,14 @@ void Fqt::RemoveImpl(ObjectId id) {
   RemoveFrom(root_.get(), id, data().view(id), 0);
 }
 
+std::unique_ptr<MetricIndex> Fqt::Clone() const {
+  auto clone = std::make_unique<Fqt>(options_);
+  clone->CopyBaseFrom(*this);
+  if (root_) clone->root_ = std::make_unique<Node>(*root_);  // deep copy
+  clone->bucket_width_ = bucket_width_;
+  return clone;
+}
+
 size_t Fqt::NodeBytes(const Node& node) const {
   size_t n = sizeof(Node) + node.members.capacity() * sizeof(ObjectId) +
              node.kids.capacity() * sizeof(std::unique_ptr<Node>);

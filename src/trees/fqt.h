@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/child_vector.h"
 #include "src/core/index.h"
 
 namespace pmi {
@@ -23,6 +24,7 @@ class Fqt final : public MetricIndex {
 
   std::string name() const override { return "FQT"; }
   bool disk_based() const override { return false; }
+  std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 
  protected:
@@ -37,7 +39,7 @@ class Fqt final : public MetricIndex {
  private:
   struct Node {
     bool leaf = true;
-    std::vector<std::unique_ptr<Node>> kids;
+    ChildVector<Node> kids;
     std::vector<ObjectId> members;
   };
 

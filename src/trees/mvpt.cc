@@ -186,22 +186,10 @@ void Mvpt::RemoveImpl(ObjectId id) {
   RemoveFrom(root_.get(), id, data().view(id), 0);
 }
 
-std::unique_ptr<Mvpt::Node> Mvpt::CloneNode(const Node& node) {
-  auto copy = std::make_unique<Node>();
-  copy->leaf = node.leaf;
-  copy->bounds = node.bounds;
-  copy->members = node.members;
-  copy->kids.resize(node.kids.size());
-  for (size_t i = 0; i < node.kids.size(); ++i) {
-    if (node.kids[i]) copy->kids[i] = CloneNode(*node.kids[i]);
-  }
-  return copy;
-}
-
 std::unique_ptr<MetricIndex> Mvpt::Clone() const {
   auto clone = std::make_unique<Mvpt>(options_, arity_);
   clone->CopyBaseFrom(*this);
-  if (root_) clone->root_ = CloneNode(*root_);
+  if (root_) clone->root_ = std::make_unique<Node>(*root_);  // deep copy
   return clone;
 }
 

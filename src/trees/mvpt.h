@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/child_vector.h"
 #include "src/core/index.h"
 
 namespace pmi {
@@ -53,11 +54,10 @@ class Mvpt final : public MetricIndex {
     // bounds[i], bounds[i+1] bracket child i (inclusive: quantile ties
     // may straddle a boundary, so intervals share endpoints).
     std::vector<double> bounds;
-    std::vector<std::unique_ptr<Node>> kids;
+    ChildVector<Node> kids;
     std::vector<ObjectId> members;
   };
 
-  static std::unique_ptr<Node> CloneNode(const Node& node);
   void BuildNode(Node* node, std::vector<ObjectId> ids, uint32_t level);
   void SaveNode(const Node& node, ByteSink* out) const;
   Status LoadNode(Node* node, ByteSource* in, uint32_t depth);

@@ -1,9 +1,10 @@
 // Concurrent read/write conformance for the epoch-versioned core.
 //
-// The tentpole acceptance harness: N reader threads run MRQ/MkNN batch
-// queries through pinned versions (MetricDB::GetReadView / Query) while
-// one writer thread applies seeded insert/remove batches and -- in the
-// durable variants -- a checkpointer races Checkpoint() against both.
+// The acceptance harness, run over every index: N reader threads run
+// MRQ/MkNN batch queries through pinned versions (MetricDB::GetReadView
+// / Query) while one writer thread applies seeded insert/remove batches
+// and -- in the durable variants -- a checkpointer races Checkpoint()
+// against both.
 // Every read is verified bit-identically against a brute-force oracle
 // evaluated AT THE PINNED VERSION (view.alive + direct metric
 // distances), so a reader observing a half-applied batch, a reclaimed
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -273,15 +275,23 @@ TEST_P(ConcurrentStressTest, ReadersMatchOracleUnderWriterChurn) {
   }
 }
 
+/// Every survey index plus the LinearScan baseline: all of them clone.
+std::vector<StressConfig> AllIndexConfigs() {
+  std::vector<StressConfig> configs{StressConfig{"LinearScan"}};
+  for (const IndexSpec& spec : AllIndexSpecs()) {
+    configs.push_back(StressConfig{spec.name});
+  }
+  return configs;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ClonableIndexes, ConcurrentStressTest,
-    ::testing::Values(StressConfig{"LinearScan"}, StressConfig{"LAESA"},
-                      StressConfig{"EPT*"}, StressConfig{"FQA"},
-                      StressConfig{"VPT"}, StressConfig{"MVPT"}),
+    ::testing::ValuesIn(AllIndexConfigs()),
     [](const ::testing::TestParamInfo<StressConfig>& info) {
       std::string name = info.param.index_name;
       for (char& c : name) {
         if (c == '*') c = 'S';
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
       return name;
     });

@@ -322,67 +322,106 @@ TEST(DifferentialStressTest, InMemoryIndexesMatchOracleAcrossConfigs) {
   ReinitSimdDispatch();
 }
 
-// -- disk indexes through the buffer pool ------------------------------------
+// -- replay invariance: pool sizes and shadow-copy updates -----------------
 //
-// The pool contract under test: physical pool size is invisible to
-// everything the paper measures.  Each disk index replays the script
-// once per pool configuration -- the default private pool (the pre-pool
-// serial baseline shape), a 1-page pool (maximum eviction pressure), a
-// tiny pool, and an effectively unbounded one -- and every replay must
-// produce bit-identical results, compdists, and logical PA.  CI widens
-// the sweep through PMI_CACHE_BYTES.
+// Two contracts under test, each checked bit for bit against one
+// in-place reference replay per index:
+//   * physical pool size is invisible to everything the paper measures.
+//     Each disk index replays the script once per pool configuration --
+//     a 1-page pool (maximum eviction pressure), a tiny pool, and an
+//     effectively unbounded one -- against the default private pool.
+//     CI widens the sweep through PMI_CACHE_BYTES;
+//   * updating through Clone() -- the concurrency layer's writer -- is
+//     invisible too.  Every index (all of AllIndexSpecs() plus
+//     LinearScan) replays the script updating shadow copies, and the
+//     built instance, held aside, must still answer exactly as built
+//     after all its descendants were mutated.
 
-/// Everything a disk-index replay produces, recorded per op for exact
+/// Everything a replay produces, recorded per op for exact
 /// cross-configuration comparison.
-struct DiskTrace {
+struct ReplayTrace {
   std::vector<std::vector<ObjectId>> mrq;   // sorted result sets
   std::vector<std::vector<double>> knn;     // ascending distance profiles
-  std::vector<uint64_t> compdists;          // query ops only
+  std::vector<uint64_t> compdists;          // every op, updates included
   std::vector<uint64_t> logical_pa;         // every op, updates included
   uint64_t build_pa = 0;
 
-  bool operator==(const DiskTrace&) const = default;
+  bool operator==(const ReplayTrace&) const = default;
 };
 
-DiskTrace ReplayDisk(MetricIndex* index, const Script& script,
-                     const Dataset& data, const Metric& metric,
-                     const PivotSet& pivots) {
-  DiskTrace t;
-  t.build_pa = index->Build(data, metric, pivots).page_accesses();
+/// How a replay applies updates.  kShadow is the concurrency layer's
+/// writer: before each update Clone() the current instance, update the
+/// clone and continue on it, keeping the predecessor alive meanwhile.
+enum class Updates { kInPlace, kShadow };
+
+/// Replays `script` on the built `index`, appending to `t`.  In kShadow
+/// mode `index` itself is never touched: the replay starts on a clone.
+void ReplayOps(MetricIndex* index, const Script& script, const Dataset& data,
+               Updates updates, ReplayTrace* t) {
+  std::unique_ptr<MetricIndex> predecessor, current;
+  MetricIndex* live = index;
+  auto shadow = [&] {
+    predecessor = std::move(current);
+    current = live->Clone();
+    live = current.get();
+  };
+  if (updates == Updates::kShadow) shadow();
   for (const Op& op : script.ops) {
+    OpStats s;
     switch (op.kind) {
       case Op::kMrq: {
         std::vector<ObjectId> got;
-        OpStats s = index->RangeQuery(data.view(op.target), op.r, &got);
+        s = live->RangeQuery(data.view(op.target), op.r, &got);
         std::sort(got.begin(), got.end());
-        t.mrq.push_back(std::move(got));
-        t.compdists.push_back(s.dist_computations);
-        t.logical_pa.push_back(s.page_accesses());
+        t->mrq.push_back(std::move(got));
         break;
       }
       case Op::kKnn: {
         std::vector<Neighbor> nn;
-        OpStats s = index->KnnQuery(data.view(op.target), op.k, &nn);
+        s = live->KnnQuery(data.view(op.target), op.k, &nn);
         std::vector<double> profile;
         for (const Neighbor& x : nn) profile.push_back(x.dist);
-        t.knn.push_back(std::move(profile));
-        t.compdists.push_back(s.dist_computations);
-        t.logical_pa.push_back(s.page_accesses());
+        t->knn.push_back(std::move(profile));
         break;
       }
       case Op::kRemove:
-        t.logical_pa.push_back(index->Remove(op.target).page_accesses());
+        if (updates == Updates::kShadow) shadow();
+        s = live->Remove(op.target);
         break;
       case Op::kInsert:
-        t.logical_pa.push_back(index->Insert(op.target).page_accesses());
+        if (updates == Updates::kShadow) shadow();
+        s = live->Insert(op.target);
         break;
     }
+    t->compdists.push_back(s.dist_computations);
+    t->logical_pa.push_back(s.page_accesses());
   }
+}
+
+ReplayTrace BuildAndReplay(MetricIndex* index, const Script& script,
+                           const Dataset& data, const Metric& metric,
+                           const PivotSet& pivots,
+                           Updates updates = Updates::kInPlace) {
+  ReplayTrace t;
+  t.build_pa = index->Build(data, metric, pivots).page_accesses();
+  ReplayOps(index, script, data, updates, &t);
   return t;
 }
 
+/// The first `count` query ops of `script`.
+Script QueryPrefix(const Script& script, uint32_t count) {
+  Script out;
+  for (const Op& op : script.ops) {
+    if (out.num_queries == count) break;
+    if (op.kind != Op::kMrq && op.kind != Op::kKnn) continue;
+    out.ops.push_back(op);
+    ++out.num_queries;
+  }
+  return out;
+}
+
 /// The reference replay must itself match the oracle.
-void CheckTraceAgainstOracle(const DiskTrace& t, const Script& script,
+void CheckTraceAgainstOracle(const ReplayTrace& t, const Script& script,
                              const std::vector<Expected>& expected) {
   size_t qi = 0, mi = 0, ki = 0;
   for (const Op& op : script.ops) {
@@ -404,7 +443,7 @@ void CheckTraceAgainstOracle(const DiskTrace& t, const Script& script,
   EXPECT_EQ(qi, expected.size());
 }
 
-TEST(DifferentialStressTest, DiskIndexesAreInvariantUnderPoolSize) {
+TEST(DifferentialStressTest, ReplayIsInvariantUnderPoolSizeAndShadowUpdates) {
   const uint32_t kN = 300;
   const uint32_t num_ops =
       std::max(EnvU32("PMI_STRESS_OPS", 2000), 64u) / 4;
@@ -420,6 +459,7 @@ TEST(DifferentialStressTest, DiskIndexesAreInvariantUnderPoolSize) {
       MakeScript(kN, num_ops, distribution, kScriptSeed ^ 0xD15C);
   const std::vector<Expected> expected =
       ReplayOracle(script, bd.data, *bd.metric, pivots);
+  const Script fixed_queries = QueryPrefix(script, 24);
 
   IndexOptions base;
   base.seed = 7;
@@ -433,28 +473,49 @@ TEST(DifferentialStressTest, DiskIndexesAreInvariantUnderPoolSize) {
     pool_bytes.push_back(env_bytes);
   }
 
-  for (const char* name : {"CPT", "SPB-tree", "M-index*"}) {
-    SCOPED_TRACE(name);
-    // Reference: the default private pool (sized cache_bytes), serial --
-    // the exact shape of the pre-pool code path.
-    auto ref_index = MakeIndex(name, base);
-    const DiskTrace reference =
-        ReplayDisk(ref_index.get(), script, bd.data, *bd.metric, pivots);
+  std::vector<IndexSpec> specs = AllIndexSpecs();
+  specs.push_back(*FindIndexSpec("LinearScan"));
+  for (const IndexSpec& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    // Reference: the default private pool (sized cache_bytes), serial,
+    // updates in place -- the exact shape of the pre-pool code path.
+    auto ref_index = spec.make(base);
+    const ReplayTrace reference =
+        BuildAndReplay(ref_index.get(), script, bd.data, *bd.metric, pivots);
     CheckTraceAgainstOracle(reference, script, expected);
     if (::testing::Test::HasFatalFailure()) break;
-    EXPECT_GT(reference.build_pa, 0u) << "disk index must touch pages";
 
-    for (size_t bytes : pool_bytes) {
-      SCOPED_TRACE("pool_bytes=" + std::to_string(bytes));
-      IndexOptions opts = base;
-      opts.buffer_pool = std::make_shared<BufferPool>(opts.page_size, bytes);
-      auto index = MakeIndex(name, opts);
-      const DiskTrace got =
-          ReplayDisk(index.get(), script, bd.data, *bd.metric, pivots);
-      // Results, compdists, and the paper's logical PA: bit-identical
-      // at every physical pool size, down to a single frame.
-      EXPECT_EQ(got, reference);
+    if (spec.uses_disk) {
+      EXPECT_GT(reference.build_pa, 0u) << "disk index must touch pages";
+      for (size_t bytes : pool_bytes) {
+        SCOPED_TRACE("pool_bytes=" + std::to_string(bytes));
+        IndexOptions opts = base;
+        opts.buffer_pool = std::make_shared<BufferPool>(opts.page_size, bytes);
+        auto index = spec.make(opts);
+        const ReplayTrace got =
+            BuildAndReplay(index.get(), script, bd.data, *bd.metric, pivots);
+        // Results, compdists, and the paper's logical PA: bit-identical
+        // at every physical pool size, down to a single frame.
+        EXPECT_EQ(got, reference);
+      }
     }
+
+    // Shadow-copy updates: bit-identical to updating in place.
+    auto first = spec.make(base);
+    const ReplayTrace shadowed =
+        BuildAndReplay(first.get(), script, bd.data, *bd.metric, pivots,
+                       Updates::kShadow);
+    EXPECT_EQ(shadowed, reference);
+
+    // The held-aside first instance answers exactly like a freshly built
+    // one -- ids, compdists and logical PA -- although every page and
+    // block it shared has since been written by a descendant.
+    auto fresh = spec.make(base);
+    fresh->Build(bd.data, *bd.metric, pivots);
+    ReplayTrace want, got;
+    ReplayOps(fresh.get(), fixed_queries, bd.data, Updates::kInPlace, &want);
+    ReplayOps(first.get(), fixed_queries, bd.data, Updates::kInPlace, &got);
+    EXPECT_EQ(got, want);
   }
   ThreadPool::SetGlobalThreads(0);
 }

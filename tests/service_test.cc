@@ -5,10 +5,10 @@
 // bit-identically to a single unsharded MetricDB oracle built from the
 // same data and config -- exact id sets for MRQ (ascending global id),
 // exact (distance, id) sequences for MkNN -- before and after routed
-// update batches.  That exactness leans on two PR-8 fixes covered
-// here directly: the KnnHeap (distance, id) tie-break (canonical min-k
-// independent of visit order) and Mvpt::Clone (trees join the
-// epoch-versioned core instead of the serialized fallback).
+// update batches -- every index at 4 shards, LAESA and MVPT at every
+// shard count.  That exactness leans on the KnnHeap (distance, id)
+// tie-break (canonical min-k independent of visit order), covered here
+// directly.
 //
 // Also covered: admission control (queue full => typed
 // kResourceExhausted, no deadlock, service keeps serving after the
@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -34,6 +35,7 @@
 #include "src/api/metric_db.h"
 #include "src/core/rng.h"
 #include "src/data/generators.h"
+#include "src/harness/registry.h"
 #include "src/harness/workload.h"
 #include "src/service/sharded_service.h"
 #include "src/storage/env.h"
@@ -216,16 +218,36 @@ TEST_P(ServiceEquivalenceTest, ScatterGatherMatchesUnshardedOracle) {
   }
 }
 
+std::string EqConfigName(const ::testing::TestParamInfo<EqConfig>& info) {
+  std::string name = info.param.index_name;
+  for (char& c : name) {
+    if (c == '*') c = 'S';
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name + "x" + std::to_string(info.param.shards);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ShardCounts, ServiceEquivalenceTest,
     ::testing::Values(EqConfig{"LAESA", 1}, EqConfig{"LAESA", 2},
                       EqConfig{"LAESA", 4}, EqConfig{"LAESA", 7},
                       EqConfig{"MVPT", 1}, EqConfig{"MVPT", 2},
                       EqConfig{"MVPT", 4}, EqConfig{"MVPT", 7}),
-    [](const ::testing::TestParamInfo<EqConfig>& info) {
-      return info.param.index_name + "x" +
-             std::to_string(info.param.shards);
-    });
+    EqConfigName);
+
+/// Every survey index plus LinearScan at 4 shards: each one's shards
+/// answer through pinned ReadViews.
+std::vector<EqConfig> AllIndexesAtFourShards() {
+  std::vector<EqConfig> configs{EqConfig{"LinearScan", 4}};
+  for (const IndexSpec& spec : AllIndexSpecs()) {
+    configs.push_back(EqConfig{spec.name, 4});
+  }
+  return configs;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIndexes, ServiceEquivalenceTest,
+                         ::testing::ValuesIn(AllIndexesAtFourShards()),
+                         EqConfigName);
 
 // -- kNN tie determinism ------------------------------------------------------
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -95,6 +96,43 @@ TEST(PagedFileTest, DataSurvivesEviction) {
     EXPECT_EQ(h.data()[0], static_cast<char>(i));
     EXPECT_EQ(h.data()[255], static_cast<char>(i));
   }
+}
+
+TEST(PagedFileTest, CloneSharesPagesCopyOnWrite) {
+  PerfCounters src_counters, clone_counters;
+  PagedFile f(4096, 2 * 4096, &src_counters);
+  PageId a = f.Allocate(), b = f.Allocate();
+  std::memset(f.Write(a, /*load=*/false).mutable_data(), 1, 4096);
+  std::memset(f.Write(b, /*load=*/false).mutable_data(), 2, 4096);
+  f.Flush();
+
+  std::unique_ptr<PagedFile> clone = f.Clone(&clone_counters);
+  ASSERT_EQ(clone->num_pages(), 2u);
+  // Untouched pages are shared, not copied.
+  EXPECT_EQ(clone->RawPage(a), f.RawPage(a));
+  EXPECT_EQ(clone->RawPage(b), f.RawPage(b));
+
+  // The clone starts from the source's logical LRU state: both pages
+  // are resident, so reading them charges nothing -- to either file.
+  src_counters.Reset();
+  clone->Read(a);
+  clone->Read(b);
+  EXPECT_EQ(clone_counters.page_reads, 0u);
+
+  // A page written through the clone diverges; the source keeps its
+  // bytes, and the untouched page stays shared.
+  std::memset(clone->Write(a).mutable_data(), 9, 4096);
+  clone->Flush();
+  EXPECT_EQ(clone_counters.page_writes, 1u);
+  EXPECT_EQ(src_counters.page_accesses(), 0u);
+  EXPECT_NE(clone->RawPage(a), f.RawPage(a));
+  EXPECT_EQ(clone->RawPage(b), f.RawPage(b));
+  EXPECT_EQ(clone->RawPage(a)[0], 9);
+  for (uint32_t i = 0; i < 4096; ++i) {
+    ASSERT_EQ(f.RawPage(a)[i], 1) << "source byte " << i;
+  }
+  EXPECT_EQ(f.Read(a).data()[4095], 1);
+  EXPECT_EQ(clone->Read(a).data()[4095], 9);
 }
 
 TEST(RafTest, RoundTripsRecords) {

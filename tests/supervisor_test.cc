@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,9 +114,10 @@ struct Rig {
   }
 };
 
-/// A 3-shard durable self-healing LAESA service over a fault env.
+/// A 3-shard durable self-healing service over a fault env, indexing
+/// with `index`.
 Rig MakeRig(const std::string& name, SupervisorOptions sup = FastSupervisor(),
-            uint32_t n = 120) {
+            uint32_t n = 120, const std::string& index = "LAESA") {
   Rig rig;
   rig.dir = NewDir(name);
   RemoveTree(rig.dir);
@@ -133,7 +135,7 @@ Rig MakeRig(const std::string& name, SupervisorOptions sup = FastSupervisor(),
   DurabilityOptions dopts;
   dopts.env = rig.fenv.get();
   auto svc_or = ShardedService::CreateDurable(
-      MetricDBConfig().WithMetric("Linf").WithIndex("LAESA").WithPivots(4),
+      MetricDBConfig().WithMetric("Linf").WithIndex(index).WithPivots(4),
       std::move(bd.data), rig.dir, sopts, dopts);
   EXPECT_TRUE(svc_or.ok()) << svc_or.status().ToString();
   if (svc_or.ok()) rig.svc = std::move(*svc_or);
@@ -469,44 +471,50 @@ TEST(SupervisorTest, QuarantinedShardServesStaleReadsAndTypedWrites) {
   SupervisorOptions sup = FastSupervisor();
   sup.initial_backoff_ms = 60000;  // park recovery far in the future
   sup.max_backoff_ms = 60000;
-  Rig rig = MakeRig("quarantine", sup);
-  ASSERT_NE(rig.svc, nullptr);
-  const uint32_t victim = 1;
-  const ObjectId a = rig.svc->router().members(victim)[0];
-  const ObjectId other = rig.svc->router().members(0)[0];
+  // An in-memory table and a disk index: every index pins a stale view.
+  const std::pair<const char*, const char*> cases[] = {
+      {"LAESA", "quarantine_laesa"}, {"SPB-tree", "quarantine_spb"}};
+  for (const auto& [index, dir] : cases) {
+    SCOPED_TRACE(index);
+    Rig rig = MakeRig(dir, sup, /*n=*/120, index);
+    ASSERT_NE(rig.svc, nullptr);
+    const uint32_t victim = 1;
+    const ObjectId a = rig.svc->router().members(victim)[0];
+    const ObjectId other = rig.svc->router().members(0)[0];
 
-  rig.fenv->Arm({FaultKind::kFailedSync, /*trigger=*/0, /*seed=*/kSeed});
-  StatusOr<ApplyResult> faulted = rig.svc->Apply({UpdateOp::Remove(a)});
-  ASSERT_TRUE(faulted.ok());
-  EXPECT_FALSE(faulted->all_ok());
-  rig.fenv->Arm({FaultKind::kNone, 0, kSeed});
+    rig.fenv->Arm({FaultKind::kFailedSync, /*trigger=*/0, /*seed=*/kSeed});
+    StatusOr<ApplyResult> faulted = rig.svc->Apply({UpdateOp::Remove(a)});
+    ASSERT_TRUE(faulted.ok());
+    EXPECT_FALSE(faulted->all_ok());
+    rig.fenv->Arm({FaultKind::kNone, 0, kSeed});
 
-  ASSERT_TRUE(WaitFor([&] {
-    return rig.svc->health()[victim].health == ShardHealth::kQuarantined;
-  }));
+    ASSERT_TRUE(WaitFor([&] {
+      return rig.svc->health()[victim].health == ShardHealth::kQuarantined;
+    }));
 
-  // Writes: typed kUnavailable carrying shard id + a positive
-  // retry-after hint (recovery is parked an hour away).
-  Status refused = rig.svc->Remove(a);
-  ASSERT_EQ(refused.code(), StatusCode::kUnavailable) << refused.ToString();
-  EXPECT_EQ(ParseUnavailableShard(refused).value_or(999), victim);
-  EXPECT_GT(ParseRetryAfterMs(refused).value_or(-1), 0);
-  EXPECT_TRUE(IsRetryableError(refused, /*query=*/false));
+    // Writes: typed kUnavailable carrying shard id + a positive
+    // retry-after hint (recovery is parked an hour away).
+    Status refused = rig.svc->Remove(a);
+    ASSERT_EQ(refused.code(), StatusCode::kUnavailable) << refused.ToString();
+    EXPECT_EQ(ParseUnavailableShard(refused).value_or(999), victim);
+    EXPECT_GT(ParseRetryAfterMs(refused).value_or(-1), 0);
+    EXPECT_TRUE(IsRetryableError(refused, /*query=*/false));
 
-  // Reads: the stale view answers (the un-acked remove is not visible
-  // there), and a fresh ReadView bundle still assembles.
-  EXPECT_TRUE(rig.svc->alive(a));
-  StatusOr<QueryResult> read =
-      rig.svc->Query(QueryRequest::Knn(rig.data.view(a), size_t{3}));
-  EXPECT_TRUE(read.ok()) << read.status().ToString();
-  StatusOr<ShardedService::ReadView> bundle = rig.svc->GetReadView();
-  EXPECT_TRUE(bundle.ok()) << bundle.status().ToString();
+    // Reads: the stale view answers (the un-acked remove is not visible
+    // there), and a fresh ReadView bundle still assembles.
+    EXPECT_TRUE(rig.svc->alive(a));
+    StatusOr<QueryResult> read =
+        rig.svc->Query(QueryRequest::Knn(rig.data.view(a), size_t{3}));
+    EXPECT_TRUE(read.ok()) << read.status().ToString();
+    StatusOr<ShardedService::ReadView> bundle = rig.svc->GetReadView();
+    EXPECT_TRUE(bundle.ok()) << bundle.status().ToString();
 
-  // Healthy shards are untouched by the quarantine.
-  EXPECT_TRUE(rig.svc->Remove(other).ok());
+    // Healthy shards are untouched by the quarantine.
+    EXPECT_TRUE(rig.svc->Remove(other).ok());
 
-  // Closing a service with a quarantined shard must be clean.
-  EXPECT_TRUE(rig.svc->Close().ok());
+    // Closing a service with a quarantined shard must be clean.
+    EXPECT_TRUE(rig.svc->Close().ok());
+  }
 }
 
 // -- recovery racing Close ----------------------------------------------------
