@@ -20,11 +20,11 @@
 // compdists must be bit-identical between the two modes.  The
 // acceptance target is >= 1.3x MRQ/kNN QPS at batch >= 64.
 //
-// A third section, concurrent_mixed, measures the epoch-versioned
-// MetricDB facade under a mixed workload: N reader threads issue batch
-// MRQ queries through MetricDB::Query (each pinning an immutable
-// version, no locks) while one writer thread churns remove/insert
-// batches through MetricDB::Apply (shadow-copy clone + atomic publish).
+// A third section, concurrent_mixed, measures the versioned MetricDB
+// facade under a mixed workload: N reader threads issue batch MRQ
+// queries through MetricDB::Query (each pinning an immutable version by
+// a shared_ptr copy) while one writer thread churns remove/insert
+// batches through MetricDB::Apply (shadow-copy clone + pointer swap).
 // Reported per reader count: aggregate reader QPS, writer batches/s,
 // and whether every read succeeded.  Like the thread sweep, the
 // absolute numbers are hardware-dependent and warn-only downstream;
@@ -501,7 +501,7 @@ int main(int argc, char** argv) {
   }
   ThreadPool::SetGlobalThreads(0);  // back to PMI_THREADS / hardware default
 
-  // ---- concurrent_mixed: epoch-versioned readers vs. a churning writer ----
+  // ---- concurrent_mixed: versioned readers vs. a churning writer ----
   // The facade path, not the raw engine: every reader batch pins a
   // version through MetricDB::Query while one writer applies
   // remove/insert batches.  Wall time covers the readers' fixed work;

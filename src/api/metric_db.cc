@@ -429,11 +429,11 @@ StatusOr<MetricDB> MetricDB::Create(const MetricDBConfig& config,
   db.index_ = std::move(index);
   db.build_stats_ = db.index_->Build(*db.data_, *db.metric_, *db.pivots_);
   db.live_.assign(db.data_->size(), 1);
-  db.InitVersioning();
+  db.PublishVersion();
   return db;
 }
 
-void MetricDB::InitVersioning() {
+void MetricDB::PublishVersion() {
   auto v = std::make_shared<TableVersion>();
   v->data = data_;
   v->metric = metric_;
@@ -441,7 +441,29 @@ void MetricDB::InitVersioning() {
   v->index = index_;
   v->live = live_;
   v->sequence = seq_;
-  cc_->table = std::make_unique<VersionedTable>(std::move(v));
+  std::shared_ptr<const TableVersion> old;
+  {
+    std::lock_guard<std::mutex> lock(cc_->version_mu);
+    old = std::exchange(cc_->version, std::move(v));
+  }
+  // `old` drops here, outside the lock: when no reader still holds it,
+  // freeing its index does not hold up readers waiting to pin.
+}
+
+std::shared_ptr<const TableVersion> MetricDB::PinVersion() const {
+  std::lock_guard<std::mutex> lock(cc_->version_mu);
+  return cc_->version;
+}
+
+Status MetricDB::write_status() const {
+  std::lock_guard<std::mutex> lock(cc_->status_mu);
+  return write_status_;
+}
+
+Status MetricDB::FailWrites(Status cause) {
+  std::lock_guard<std::mutex> lock(cc_->status_mu);
+  write_status_ = cause;
+  return cause;
 }
 
 Status MetricDB::ValidateRequest(const QueryRequest& request,
@@ -532,21 +554,15 @@ QueryResult MetricDB::Answer(const MetricIndex& index,
 }
 
 StatusOr<QueryResult> MetricDB::Query(const QueryRequest& request) const {
-  if (cc_->closed.load(std::memory_order_acquire)) {
-    return FailedPreconditionError("database is closed");
-  }
-  PMI_RETURN_IF_ERROR(ValidateRequest(request, *data_));
-  // Pin the published snapshot and answer against it -- no lock shared
-  // with the writer or other readers.
-  VersionedTable::ReadPin pin = cc_->table->Pin();
-  return Answer(*pin->index, request);
+  PMI_ASSIGN_OR_RETURN(ReadView view, GetReadView());
+  return view.Query(request);
 }
 
 StatusOr<MetricDB::ReadView> MetricDB::GetReadView() const {
   if (cc_->closed.load(std::memory_order_acquire)) {
     return FailedPreconditionError("database is closed");
   }
-  return ReadView(cc_->table->Acquire());
+  return ReadView(PinVersion());
 }
 
 StatusOr<QueryResult> MetricDB::ReadView::Query(
@@ -634,7 +650,7 @@ Status MetricDB::SaveStateTo(const MetricIndex& index,
 Status MetricDB::SaveTo(const std::string& path, Env* env) const {
   // Snapshot the published version: consistent even while the writer is
   // mid-Apply on its clone.
-  std::shared_ptr<const TableVersion> v = cc_->table->Acquire();
+  std::shared_ptr<const TableVersion> v = PinVersion();
   return SaveStateTo(*v->index, v->live, v->sequence, path, env);
 }
 
@@ -645,7 +661,7 @@ Status MetricDB::Save(const std::string& path) const {
 StatusOr<MetricDB> MetricDB::Open(const std::string& path) {
   PMI_ASSIGN_OR_RETURN(std::string payload, ReadSnapshotFile(path));
   PMI_ASSIGN_OR_RETURN(MetricDB db, FromPayload(payload));
-  db.InitVersioning();
+  db.PublishVersion();
   return db;
 }
 
@@ -804,8 +820,7 @@ Status MetricDB::Apply(const std::vector<UpdateOp>& ops,
     if (!logged.ok()) {
       // The log tail is now suspect: applying would acknowledge an
       // unrecoverable write.  Refuse this batch and go read-only.
-      write_status_ = logged;
-      return logged;
+      return FailWrites(std::move(logged));
     }
   }
   // Shadow apply: published versions are immutable by contract, so the
@@ -814,15 +829,8 @@ Status MetricDB::Apply(const std::vector<UpdateOp>& ops,
   // published version and the writer's new working index.
   std::shared_ptr<MetricIndex> clone = index_->Clone();
   for (const UpdateOp& op : ops) ApplyToIndex(clone.get(), op);
-  auto v = std::make_shared<TableVersion>();
-  v->data = data_;
-  v->metric = metric_;
-  v->pivots = pivots_;
-  v->index = clone;
-  v->live = live_;
-  v->sequence = seq_;
   index_ = std::move(clone);
-  cc_->table->Publish(std::move(v));
+  PublishVersion();
   return OkStatus();
 }
 
@@ -880,29 +888,20 @@ Status MetricDB::Checkpoint() {
       return FailedPreconditionError("database is closed");
     }
     PMI_RETURN_IF_ERROR(write_status_);
-    v = cc_->table->Acquire();
+    v = PinVersion();
     next = checkpoint_gen_ + 1;
     // The outgoing generation must be complete on disk before a new one
     // starts: a silently lost tail here would be a mid-chain hole that
     // replay cannot detect once wal-(next) continues past it.
     if (wal_ != nullptr) {
       Status synced = wal_->Sync();
-      if (!synced.ok()) {
-        write_status_ = synced;
-        return synced;
-      }
+      if (!synced.ok()) return FailWrites(std::move(synced));
     }
     StatusOr<std::unique_ptr<WritableFile>> wal_file =
         env_->NewWritableFile(JoinPath(dir_, WalName(next)));
-    if (!wal_file.ok()) {
-      write_status_ = wal_file.status();
-      return write_status_;
-    }
+    if (!wal_file.ok()) return FailWrites(wal_file.status());
     Status dir_synced = env_->SyncDir(dir_);
-    if (!dir_synced.ok()) {
-      write_status_ = dir_synced;
-      return dir_synced;
-    }
+    if (!dir_synced.ok()) return FailWrites(std::move(dir_synced));
     wal_ = std::make_unique<WalWriter>(std::move(*wal_file), dopts_.sync_mode,
                                        dopts_.sync_interval_commits);
   }
@@ -917,8 +916,7 @@ Status MetricDB::Checkpoint() {
     // The directory is still recoverable (old checkpoint + unbroken WAL
     // chain), but a failed snapshot write says the disk is unwell:
     // stop acknowledging updates.
-    write_status_ = saved;
-    return saved;
+    return FailWrites(std::move(saved));
   }
   checkpoint_gen_ = next;
   PruneGenerationsBelow(next - 1);
@@ -1074,7 +1072,7 @@ StatusOr<MetricDB> MetricDB::OpenDurable(const std::string& dir,
     db.checkpoint_gen_ = max_gen;
     // Publication starts only now that replay has settled the state the
     // initial version must reflect.
-    db.InitVersioning();
+    db.PublishVersion();
     // Recovery re-checkpoints: the recovered state becomes durable on
     // its own, and torn WAL debris drops out of the replay path.
     PMI_RETURN_IF_ERROR(db.RotateCheckpoint());

@@ -21,18 +21,17 @@
 //     restore with zero distance computations.
 //
 // Concurrency model (see README "Concurrency model"): every database
-// runs an epoch-versioned read/write core.  Readers call
-// Query/GetReadView from any number of threads, lock-free on the hot
-// path: each query pins the currently published immutable TableVersion
-// through an epoch slot and runs the const batch engine against it.
-// The single writer (Apply/Insert/Remove, serialized on an internal
-// writer lock) clones the index -- copy-on-write, sharing untouched
-// pivot-table blocks and disk pages -- applies the batch to the clone,
-// and publishes it atomically; superseded versions are reclaimed once
-// the last pinned reader drains.  Checkpoint snapshots a pinned version
-// concurrently with both readers and the writer.  A database whose
-// write path went read-only (WAL fault) keeps serving reads from the
-// last published version.
+// publishes its state as immutable TableVersions.  Readers call
+// Query/GetReadView from any number of threads: each pins the current
+// version by copying its shared_ptr under a short mutex and runs the
+// const batch engine against it.  The single writer (Apply/Insert/
+// Remove, serialized on an internal writer lock) clones the index --
+// copy-on-write, sharing untouched pivot-table blocks and disk pages --
+// applies the batch to the clone, and publishes it by swapping the
+// pointer; a superseded version is freed by whichever holder drops it
+// last.  Checkpoint snapshots a pinned version concurrently with both
+// readers and the writer.  A database whose write path went read-only
+// (WAL fault) keeps serving reads from the last published version.
 
 #ifndef PMI_API_METRIC_DB_H_
 #define PMI_API_METRIC_DB_H_
@@ -337,9 +336,8 @@ class MetricDB {
   /// RETURNED.  Close() is not enough -- a thread already past the
   /// closed check but not yet holding its version pin would touch freed
   /// state -- so quiesce (join) reader threads before dropping the
-  /// database.  Readers that already pinned are safe: the destructor
-  /// drains them, and ReadViews co-own their pinned version
-  /// independently of the facade, so they may outlive it.
+  /// database.  A ReadView co-owns its pinned version independently of
+  /// the facade, so it may outlive it.
   ~MetricDB();
 
   /// True when this database was opened with CreateDurable/OpenDurable.
@@ -347,32 +345,31 @@ class MetricDB {
 
   /// Sequence number of the last applied update (0 = none yet).  After
   /// OpenDurable this is exactly the prefix of update history the
-  /// recovered state contains.  Writer-side view: under concurrent
-  /// updates, read it from the writer thread or from a ReadView.
-  uint64_t last_sequence() const { return seq_; }
+  /// recovered state contains.  Read from the published version, so it
+  /// is safe from any thread.
+  uint64_t last_sequence() const { return ReadView(PinVersion()).sequence(); }
 
-  /// Liveness of dataset object `id` under the applied update history.
-  /// Writer-side view, like last_sequence().
-  bool alive(ObjectId id) const {
-    return id < live_.size() && live_[id] != 0;
-  }
+  /// Liveness of dataset object `id` under the applied update history,
+  /// read from the published version like last_sequence().
+  bool alive(ObjectId id) const { return ReadView(PinVersion()).alive(id); }
 
   /// Non-OK once a write-path I/O fault put the database in read-only
   /// mode (queries still work; updates are refused with this status).
-  const Status& write_status() const { return write_status_; }
+  /// Safe from any thread.
+  Status write_status() const;
 
   /// Answers `request`; batches fan out across the thread pool.  Safe to
   /// call from any number of threads concurrently with Apply/Checkpoint;
-  /// each call answers against one consistent pinned version.
+  /// each call is GetReadView() followed by ReadView::Query, so it
+  /// answers against one consistent pinned version.
   StatusOr<QueryResult> Query(const QueryRequest& request) const;
 
   /// A consistent snapshot of the database for multi-query read
   /// transactions: every Query through the view -- and its alive()/
   /// sequence() -- answers against the same pinned version, no matter
   /// how many updates the writer publishes meanwhile.  Copyable and
-  /// cheap; the underlying version stays alive until the last view (and
-  /// pinned reader) drops.  kFailedPrecondition when the database is
-  /// closed.
+  /// cheap; the underlying version stays alive until the last view
+  /// drops.  kFailedPrecondition when the database is closed.
   class ReadView {
    public:
     /// Sequence number of the pinned version (same meaning as
@@ -437,9 +434,18 @@ class MetricDB {
   static QueryResult Answer(const MetricIndex& index,
                             const QueryRequest& request);
 
-  /// Publishes the initial version.  Called once the state is final: end
-  /// of Create and Open, and in OpenDurable after WAL replay.
-  void InitVersioning();
+  /// Publishes the writer's state (index_, live_, seq_) as the current
+  /// version: at the end of Create, Open and OpenDurable (after WAL
+  /// replay), and by every Apply.  The superseded version is dropped
+  /// after the version lock is released.
+  void PublishVersion();
+
+  /// Copies the current version's shared_ptr under the version lock.
+  std::shared_ptr<const TableVersion> PinVersion() const;
+
+  /// Puts the database in read-only mode with `cause` (writer lock
+  /// held) and returns it.
+  Status FailWrites(Status cause);
 
   /// Serializes database state (config, dataset, pivots, `index` state,
   /// `live` bitmap, `seq`) into the snapshot payload.  Parameterized so
@@ -509,8 +515,14 @@ class MetricDB {
     /// Serializes whole Checkpoint calls against each other without
     /// blocking the writer for the slow serialization phase.
     std::mutex checkpoint_mu;
-    /// Epoch-versioned publication point; set by InitVersioning.
-    std::unique_ptr<VersionedTable> table;
+    /// Guards `version` only: held for one shared_ptr copy or swap.
+    std::mutex version_mu;
+    /// The published version; set by PublishVersion, copied by
+    /// PinVersion.
+    std::shared_ptr<const TableVersion> version;
+    /// Guards write_status_ against readers off the writer thread; the
+    /// writer sets it holding both writer_mu and status_mu.
+    std::mutex status_mu;
     /// Flipped by Close(); checked (acquire) at every entry point.
     std::atomic<bool> closed{false};
     /// Held kernel advisory lock on dir_'s LOCK file; null when this

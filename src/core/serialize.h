@@ -93,12 +93,14 @@ class ByteSource {
     PMI_RETURN_IF_ERROR(GetU64(&n));
     if (n > remaining() / sizeof(T)) return TruncatedError(n * sizeof(T));
     out->resize(n);
-    if (n > 0) return Raw(out->data(), n * sizeof(T));
-    return OkStatus();
+    return Raw(out->data(), n * sizeof(T));
   }
 
+  /// Copies the next `n` bytes to `out`.  `out` may be null when n == 0
+  /// (the data() of an empty vector): memcpy is not called then.
   Status Raw(void* out, size_t n) {
     if (n > remaining()) return TruncatedError(n);
+    if (n == 0) return OkStatus();
     std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
     return OkStatus();

@@ -1,32 +1,19 @@
-// Epoch-versioned publication of immutable table snapshots.
+// One immutable published state of a database.
 //
-// The concurrent read/write core of the database facade: the single
-// writer builds each new state as an immutable TableVersion (sharing
+// The single writer builds each new state as a TableVersion (sharing
 // unchanged 256-row pivot-table blocks with its predecessor via
-// PivotTable's copy-on-write storage) and publishes it through one
-// atomic pointer; readers pin a version through an EpochDomain slot and
-// run range / kNN / batch queries against it lock-free, while retired
-// versions wait in the domain's limbo list until the last reader that
-// could hold them unpins.
-//
-// Ownership: VersionedTable keeps the current version alive through a
-// shared_ptr (`owner_`, guarded by a tiny mutex that only Publish and
-// the slot-exhausted fallback path touch); every superseded version
-// moves into the epoch domain's limbo.  The destructor drains the
-// domain, so a VersionedTable never dies while a reader is pinned.
+// PivotTable's copy-on-write storage) and publishes it by swapping a
+// shared_ptr.  Readers pin a version by copying that shared_ptr; a
+// superseded version is freed by whichever holder drops it last.
 
 #ifndef PMI_CORE_VERSION_H_
 #define PMI_CORE_VERSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/core/dataset.h"
-#include "src/core/epoch.h"
 #include "src/core/index.h"
 #include "src/core/metric.h"
 #include "src/core/pivots.h"
@@ -43,106 +30,6 @@ struct TableVersion {
   std::shared_ptr<const MetricIndex> index;
   std::vector<uint8_t> live;  // liveness bitmap, one byte per object id
   uint64_t sequence = 0;      // WAL sequence this version reflects
-};
-
-/// Single-writer / many-reader version cell.  Publish() is externally
-/// serialized (the facade's writer lock); Pin()/Acquire() are safe from
-/// any number of concurrent reader threads.
-class VersionedTable {
- public:
-  /// RAII pin over one version.  Move-only; the pinned version stays
-  /// valid exactly as long as the pin lives.  Obtained via Pin() --
-  /// epoch-slot-backed on the fast path, refcount-backed when the
-  /// domain's slots are exhausted (same lifetime contract either way).
-  class ReadPin {
-   public:
-    ReadPin() = default;
-    ReadPin(ReadPin&& o) noexcept
-        : owner_(std::exchange(o.owner_, nullptr)),
-          slot_(std::exchange(o.slot_, EpochDomain::kNoSlot)),
-          version_(std::exchange(o.version_, nullptr)),
-          fallback_(std::move(o.fallback_)) {}
-    ReadPin& operator=(ReadPin&& o) noexcept {
-      if (this != &o) {
-        Release();
-        owner_ = std::exchange(o.owner_, nullptr);
-        slot_ = std::exchange(o.slot_, EpochDomain::kNoSlot);
-        version_ = std::exchange(o.version_, nullptr);
-        fallback_ = std::move(o.fallback_);
-      }
-      return *this;
-    }
-    ~ReadPin() { Release(); }
-
-    ReadPin(const ReadPin&) = delete;
-    ReadPin& operator=(const ReadPin&) = delete;
-
-    const TableVersion* get() const { return version_; }
-    const TableVersion& operator*() const { return *version_; }
-    const TableVersion* operator->() const { return version_; }
-    explicit operator bool() const { return version_ != nullptr; }
-
-    /// True when this pin went through the shared_ptr fallback rather
-    /// than an epoch slot (test introspection).
-    bool refcounted() const { return fallback_ != nullptr; }
-
-   private:
-    friend class VersionedTable;
-    void Release() {
-      if (slot_ != EpochDomain::kNoSlot) {
-        owner_->domain_.Unpin(slot_);
-        slot_ = EpochDomain::kNoSlot;
-      }
-      owner_ = nullptr;
-      version_ = nullptr;
-      fallback_.reset();
-    }
-
-    const VersionedTable* owner_ = nullptr;
-    int slot_ = EpochDomain::kNoSlot;
-    const TableVersion* version_ = nullptr;
-    std::shared_ptr<const TableVersion> fallback_;
-  };
-
-  explicit VersionedTable(std::shared_ptr<const TableVersion> initial);
-
-  /// Drains the epoch domain: blocks until every ReadPin is released.
-  /// Out of line on purpose -- a defaulted destructor would destroy
-  /// members in reverse declaration order, releasing owner_ (the only
-  /// shared_ptr keeping the current version alive) before domain_'s own
-  /// destructor drains, and an epoch-pinned reader holding a raw
-  /// TableVersion* would dereference freed memory.
-  ~VersionedTable();
-
-  VersionedTable(const VersionedTable&) = delete;
-  VersionedTable& operator=(const VersionedTable&) = delete;
-
-  /// Pins the current version for reading.  Lock-free on the fast path
-  /// (one CAS on a reader-private cache line); falls back to a
-  /// mutex-guarded shared_ptr copy when all epoch slots are busy.
-  ReadPin Pin() const;
-
-  /// Refcounted acquire of the current version -- for long holds
-  /// (checkpoint serialization) that should not occupy an epoch slot.
-  std::shared_ptr<const TableVersion> Acquire() const;
-
-  /// Atomically replaces the current version and retires the old one.
-  /// Single writer only (externally serialized).
-  void Publish(std::shared_ptr<const TableVersion> next);
-
-  /// Sequence number of the currently published version.
-  uint64_t sequence() const {
-    return current_.load(std::memory_order_seq_cst)->sequence;
-  }
-
-  /// Retired-but-unreclaimed version count (test introspection).
-  size_t limbo_size() const { return domain_.limbo_size(); }
-
- private:
-  mutable EpochDomain domain_;
-  mutable std::mutex owner_mu_;
-  std::shared_ptr<const TableVersion> owner_;  // keeps current_ alive
-  std::atomic<const TableVersion*> current_;
 };
 
 }  // namespace pmi

@@ -456,7 +456,7 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
     SlotView sv = SnapshotSlot(s);
     StatusOr<QueryResult> r = [&]() -> StatusOr<QueryResult> {
       if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
-        // Healthy shards answer at a pinned epoch version.
+        // Healthy shards answer at a pinned version.
         StatusOr<MetricDB::ReadView> view = sv.db->GetReadView();
         if (view.ok()) {
           return run_chunked(

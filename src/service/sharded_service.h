@@ -2,10 +2,9 @@
 //
 // One logical metric database, hash-partitioned by object id across N
 // independent MetricDB shards (ShardRouter decides placement).  Each
-// shard has its own single writer, its own epoch-versioned published
-// versions, and -- in durable mode -- its own WAL/checkpoint directory,
-// so N shards give N concurrent writer streams where one MetricDB gives
-// one.
+// shard has its own single writer, its own published versions, and --
+// in durable mode -- its own WAL/checkpoint directory, so N shards give
+// N concurrent writer streams where one MetricDB gives one.
 //
 // Request path: every Query/Apply is admitted through a bounded queue +
 // worker pool (src/service/admission.h).  A full queue is typed
@@ -17,8 +16,8 @@
 // and Apply re-checks before each shard's sub-commit, so a request
 // cannot overrun its deadline inside a slow shard.
 //
-// Reads scatter/gather: the worker pins a ReadView per shard (lock-free
-// epoch pin), runs the block-major batch engine inside each shard, and
+// Reads scatter/gather: the worker pins a ReadView per shard
+// (MetricDB::GetReadView, a shared_ptr copy under a short mutex), runs the block-major batch engine inside each shard, and
 // merges -- union for MRQ, a k-way merge with (distance, id) tie-break
 // for MkNN -- so results are bit-identical to an unsharded MetricDB
 // holding the same data (see result_merger.h for why).
@@ -249,9 +248,10 @@ class ShardedService {
   /// The effective per-shard config (metric param already resolved).
   const MetricDBConfig& config() const;
 
-  /// Writer-side views, like MetricDB::last_sequence()/alive(): exact
-  /// only when no Apply is in flight (e.g. after joining clients).
-  /// During recovery a shard answers from its stale quarantine view.
+  /// Each shard's published version, like MetricDB::last_sequence()/
+  /// alive(): safe from any thread, and up to date once no Apply is in
+  /// flight.  During recovery a shard answers from its stale quarantine
+  /// view.
   bool alive(ObjectId id) const;
   std::vector<uint64_t> sequences() const;
   /// Per-shard write availability: OK iff the shard is healthy AND its

@@ -31,7 +31,7 @@ class Mvpt final : public MetricIndex {
   std::string name() const override { return arity_ == 2 ? "VPT" : "MVPT"; }
   bool disk_based() const override { return false; }
   /// Deep copy of the node tree -- joins the tree family to the
-  /// epoch-versioned read/write core (clone-apply-publish).  Node
+  /// versioned read/write core (clone-apply-publish).  Node
   /// payloads are plain ids and split values, so the copy shares only
   /// the base binding (dataset/metric/pivots) with the source.
   std::unique_ptr<MetricIndex> Clone() const override;

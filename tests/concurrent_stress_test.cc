@@ -1,4 +1,4 @@
-// Concurrent read/write conformance for the epoch-versioned core.
+// Concurrent read/write conformance for the versioned core.
 //
 // The acceptance harness, run over every index: N reader threads run
 // MRQ/MkNN batch queries through pinned versions (MetricDB::GetReadView
@@ -29,11 +29,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -284,17 +284,18 @@ std::vector<StressConfig> AllIndexConfigs() {
   return configs;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ClonableIndexes, ConcurrentStressTest,
-    ::testing::ValuesIn(AllIndexConfigs()),
-    [](const ::testing::TestParamInfo<StressConfig>& info) {
-      std::string name = info.param.index_name;
-      for (char& c : name) {
-        if (c == '*') c = 'S';
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
+std::string IndexParamName(const ::testing::TestParamInfo<StressConfig>& info) {
+  std::string name = info.param.index_name;
+  for (char& c : name) {
+    if (c == '*') c = 'S';
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(ClonableIndexes, ConcurrentStressTest,
+                         ::testing::ValuesIn(AllIndexConfigs()),
+                         IndexParamName);
 
 TEST(ConcurrentDurableTest, ApplyRacesCheckpointAndRecoversEquivalently) {
   const std::string dir = NewDir("ckpt_race");
@@ -604,52 +605,104 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
   EXPECT_EQ(s.write_back_failures, 0u);
 }
 
-// -- VersionedTable teardown --------------------------------------------------
+// -- a pinned view outlives its database --------------------------------------
 
-// Regression: a defaulted ~VersionedTable destroyed owner_ (the only
-// shared_ptr keeping the current version alive) before domain_'s
-// destructor drained pinned readers, so an in-flight reader holding a
-// raw TableVersion* dereferenced freed memory.  The destructor must
-// block until every ReadPin is released, with the version intact the
-// whole time.
-TEST(VersionedTableTest, DestructionWaitsForPinnedReaders) {
-  auto v = std::make_shared<TableVersion>();
-  v->live.assign(64, 1);
-  v->sequence = 7;
-  auto table = std::make_unique<VersionedTable>(std::move(v));
+/// One query's answers through a pinned view: range ids in result order,
+/// kNN (id, distance) pairs, and each answer's compdists.
+struct PinnedAnswer {
+  std::vector<ObjectId> range;
+  std::vector<std::pair<ObjectId, double>> knn;
+  uint64_t range_compdists = 0;
+  uint64_t knn_compdists = 0;
 
-  std::atomic<bool> pinned{false};
-  std::atomic<bool> release{false};
-  std::atomic<bool> destroyed{false};
-  std::thread reader([&] {
-    VersionedTable::ReadPin pin = table->Pin();
-    ASSERT_TRUE(pin);
-    pinned.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
+  bool operator==(const PinnedAnswer&) const = default;
+};
+
+std::vector<PinnedAnswer> AnswerAll(const MetricDB::ReadView& view,
+                                    const std::vector<ObjectView>& queries,
+                                    double radius) {
+  std::vector<PinnedAnswer> out;
+  for (const ObjectView& q : queries) {
+    StatusOr<QueryResult> mrq = view.Query(QueryRequest::Range(q, radius));
+    StatusOr<QueryResult> mknn = view.Query(QueryRequest::Knn(q, 5));
+    EXPECT_TRUE(mrq.ok()) << mrq.status().ToString();
+    EXPECT_TRUE(mknn.ok()) << mknn.status().ToString();
+    if (!mrq.ok() || !mknn.ok()) return out;
+    PinnedAnswer a;
+    a.range = mrq->ids[0];
+    for (const Neighbor& nb : mknn->neighbors[0]) {
+      a.knn.emplace_back(nb.id, nb.dist);
     }
-    // ~VersionedTable has been running for a while by now; the pinned
-    // version must still be fully alive.
-    EXPECT_EQ(pin->sequence, 7u);
-    ASSERT_EQ(pin->live.size(), 64u);
-    EXPECT_EQ(pin->live[63], 1);
-  });
-  while (!pinned.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
+    a.range_compdists = mrq->stats.dist_computations;
+    a.knn_compdists = mknn->stats.dist_computations;
+    out.push_back(std::move(a));
+  }
+  return out;
+}
+
+class PinnedViewTest : public ::testing::TestWithParam<StressConfig> {};
+
+// A ReadView co-owns its version: superseding that version, closing the
+// database and destroying the facade leave the view's answers -- ids and
+// per-query compdists -- exactly as recorded.  The view's last pass runs
+// on a reader thread after the facade is gone, so that thread drops the
+// final reference and frees the version; the sanitizer jobs check the
+// free is neither early (ASan, TSan) nor missing (LeakSanitizer).
+TEST_P(PinnedViewTest, OutlivesItsDatabase) {
+  BenchDataset bd = MakeBenchDataset(BenchDatasetId::kSynthetic, 256, 77);
+  auto created = MetricDB::Create(MetricDBConfig()
+                                      .WithMetric("Linf")
+                                      .WithIndex(GetParam().index_name)
+                                      .WithPivots(GetParam().pivots),
+                                  bd.data);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto db = std::make_unique<MetricDB>(std::move(*created));
+
+  // The queries view the test's own copy of the data, which outlives db.
+  std::vector<ObjectView> queries;
+  std::vector<UpdateOp> removals;
+  for (ObjectId id = 0; id < bd.data.size(); id += 32) {
+    queries.push_back(bd.data.view(id));
+    removals.push_back(UpdateOp::Remove(id));
+  }
+  const double radius = SampleRadius(bd.data, db->metric());
+
+  StatusOr<MetricDB::ReadView> view = db->GetReadView();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const uint64_t pinned_seq = view->sequence();
+  const std::vector<PinnedAnswer> recorded =
+      AnswerAll(*view, queries, radius);
+  ASSERT_EQ(recorded.size(), queries.size());
+
+  // Supersede the pinned version: every query object leaves the data, so
+  // the current version answers differently.
+  ASSERT_TRUE(db->Apply(removals).ok());
+  {
+    StatusOr<MetricDB::ReadView> current = db->GetReadView();
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    ASSERT_GT(current->sequence(), pinned_seq);
+    ASSERT_NE(AnswerAll(*current, queries, radius), recorded);
   }
 
-  std::thread destroyer([&] {
-    table.reset();  // must block in the epoch drain until the pin drops
-    destroyed.store(true, std::memory_order_release);
+  std::atomic<bool> db_gone{false};
+  std::thread reader([&, pinned = std::move(*view)] {
+    // One pass racing Close and destruction, one after the facade is gone.
+    EXPECT_EQ(AnswerAll(pinned, queries, radius), recorded);
+    while (!db_gone.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(pinned.sequence(), pinned_seq);
+    EXPECT_EQ(AnswerAll(pinned, queries, radius), recorded);
   });
-  // Give a broken destructor every chance to finish early.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(destroyed.load(std::memory_order_acquire));
-  release.store(true, std::memory_order_release);
+  EXPECT_TRUE(db->Close().ok());
+  db.reset();
+  db_gone.store(true, std::memory_order_release);
   reader.join();
-  destroyer.join();
-  EXPECT_TRUE(destroyed.load(std::memory_order_acquire));
 }
+
+INSTANTIATE_TEST_SUITE_P(ClonableIndexes, PinnedViewTest,
+                         ::testing::ValuesIn(AllIndexConfigs()),
+                         IndexParamName);
 
 // -- directory LOCK file ------------------------------------------------------
 

@@ -684,20 +684,31 @@ TEST(DeadlineBudgetTest, ExpiresMidShardNotJustAtDispatch) {
   std::vector<ObjectView> queries;
   for (int i = 0; i < 2048; ++i) queries.push_back(data.view(i % 4096));
   RequestOptions opts;
-  opts.deadline_ms = 2.0;
+
+  // The batch with room to breathe answers fully.  Its wall time sets the
+  // tight budget below, so neither a slow worker wake-up nor a fast host
+  // can move the expiry out of the shard: a quarter of the run is far
+  // longer than the wake-up, and far shorter than the 64 chunks.
+  opts.deadline_ms = 60000;
+  const auto t0 = std::chrono::steady_clock::now();
+  StatusOr<QueryResult> ok =
+      svc->Query(QueryRequest::KnnBatch(queries, size_t{8}), opts);
+  const double full_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(svc->stats().deadline_expired, 0u);
+
+  opts.deadline_ms = full_ms / 4;
   StatusOr<QueryResult> r =
       svc->Query(QueryRequest::KnnBatch(queries, size_t{8}), opts);
-  ASSERT_FALSE(r.ok()) << "a 2ms budget cannot cover 2048 scans of 4096";
+  ASSERT_FALSE(r.ok()) << "a " << *opts.deadline_ms
+                       << " ms budget cannot cover a " << full_ms
+                       << " ms batch";
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(r.status().message().find("mid-shard"), std::string::npos)
       << r.status().ToString();
   EXPECT_GE(svc->stats().deadline_expired, 1u);
-
-  // The same batch with room to breathe still answers fully.
-  opts.deadline_ms = 60000;
-  StatusOr<QueryResult> ok =
-      svc->Query(QueryRequest::KnnBatch(queries, size_t{8}), opts);
-  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_TRUE(svc->Close().ok());
 }
 
