@@ -395,9 +395,7 @@ int main() {
             f64_survivors += surv.size();
           }
         });
-        for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                                SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-          if (!SimdLevelSupported(level)) continue;
+        for (SimdLevel level : SupportedSimdLevels()) {
           setenv("PMI_SIMD", SimdLevelName(level), 1);
           ReinitSimdDispatch();
           const FilterTraffic traffic = MeasureTraffic(

@@ -30,9 +30,10 @@ void CheckBatchSizes(size_t queries, size_t thresholds, const char* what) {
   }
 }
 
-// The body of both batch entry points.  `block(shards)` runs the
-// block-major engine and reports whether it handled the batch;
-// otherwise the query-major loop runs `single(i)` for every query, each
+// The body of both batch entry points.  A batch of two or more queries
+// is offered to `block(shards)`, the index's block-major hook, which
+// reports whether it handled the batch.  A batch of one, or a declined
+// one, runs the query-major loop: `single(i)` for every query, each
 // under a CounterScope over its own shard (every *Impl counts through
 // dist() and the paged layers through CounterScope::Active), so the
 // attribution is per query and exact at any thread count.  The shards
@@ -41,14 +42,13 @@ void CheckBatchSizes(size_t queries, size_t thresholds, const char* what) {
 // once queries interleave block by block, and the bit-identical contract
 // between execution modes could never hold for a timing anyway.
 template <typename Result, typename Block, typename Single>
-OpStats RunBatch(size_t n, bool try_block,
-                 std::vector<std::vector<Result>>* out,
+OpStats RunBatch(size_t n, std::vector<std::vector<Result>>* out,
                  std::vector<OpStats>* per_query, Block&& block,
                  Single&& single) {
   out->assign(n, {});
   Stopwatch watch;
   std::vector<PerfCounters> shards(n);
-  if (!(try_block && n > 0 && block(shards.data()))) {
+  if (!(n > 1 && block(shards.data()))) {
     ParallelQueryChunks(n, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         // Count into a stack-local shard and store once: adjacent shards
@@ -79,12 +79,10 @@ OpStats RunBatch(size_t n, bool try_block,
 OpStats MetricIndex::RangeQueryBatch(const std::vector<ObjectView>& queries,
                                      const std::vector<double>& radii,
                                      std::vector<std::vector<ObjectId>>* out,
-                                     std::vector<OpStats>* per_query,
-                                     BatchMode mode) const {
+                                     std::vector<OpStats>* per_query) const {
   CheckBatchSizes(queries.size(), radii.size(), "radii");
   return RunBatch(
-      queries.size(), mode == BatchMode::kAuto && block_major_batches(), out,
-      per_query,
+      queries.size(), out, per_query,
       [&](PerfCounters* shards) {
         return RangeBatchBlockImpl(queries, radii.data(), out, shards);
       },
@@ -94,12 +92,10 @@ OpStats MetricIndex::RangeQueryBatch(const std::vector<ObjectView>& queries,
 OpStats MetricIndex::KnnQueryBatch(const std::vector<ObjectView>& queries,
                                    const std::vector<size_t>& ks,
                                    std::vector<std::vector<Neighbor>>* out,
-                                   std::vector<OpStats>* per_query,
-                                   BatchMode mode) const {
+                                   std::vector<OpStats>* per_query) const {
   CheckBatchSizes(queries.size(), ks.size(), "neighbor counts");
   return RunBatch(
-      queries.size(), mode == BatchMode::kAuto && block_major_batches(), out,
-      per_query,
+      queries.size(), out, per_query,
       [&](PerfCounters* shards) {
         return KnnBatchBlockImpl(queries, ks.data(), out, shards);
       },

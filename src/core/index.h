@@ -95,18 +95,6 @@ struct IndexOptions {
 /// code uses the defaults.
 Status ValidateOptions(const IndexOptions& options);
 
-/// How a batch entry point executes its queries.
-enum class BatchMode : uint8_t {
-  /// Block-major (one pivot-table pass amortized over the whole batch)
-  /// when the index implements it, query-major otherwise.
-  kAuto = 0,
-  /// Force the query-major reference path: a loop of per-query *Impl
-  /// calls (parallelized over queries when allowed).  This is the frozen
-  /// baseline the batch-equivalence tests and bench_throughput's
-  /// batch_blocking section compare the block-major engine against.
-  kQueryMajor = 1,
-};
-
 /// Costs of one build / query / update operation: the PerfCounters of
 /// the operation plus its wall-clock time.  page_reads/page_writes are
 /// the paper's logical PA; pool_hits/physical_reads/physical_writes are
@@ -171,46 +159,38 @@ class MetricIndex {
   /// writer clones, applies, publishes).
   virtual std::unique_ptr<MetricIndex> Clone() const = 0;
 
-  /// True when this index implements the block-major batch engine
-  /// (RangeBatchBlockImpl / KnnBatchBlockImpl): batch queries walk the
-  /// pivot table block by block with every query of the batch filtered
-  /// against each cache-resident column slab, instead of re-streaming
-  /// the table once per query.  Results, compdists, and per-query stats
-  /// are bit-identical to the query-major path by contract
-  /// (tests/batch_invariance_test.cc pins this).
-  virtual bool block_major_batches() const { return false; }
-
   /// Batch MRQ descriptor form: answers MRQ(queries[i], radii[i]) into
   /// (*out)[i] for every i -- per-query thresholds, so callers can mix
-  /// selectivities in one batch.  Executes block-major when `mode`
-  /// allows and the index supports it, otherwise fans the query-major
-  /// loop across the global ThreadPool (inline when another region holds
-  /// the pool, see ParallelQueryChunks).  Per-query result buffers are
-  /// element-private and every distance computation and page access is
-  /// counted into a per-query shard, so results and compdists (total
-  /// and `per_query`) are identical across execution modes, thread
-  /// counts, and SIMD dispatch levels.  A disk index's logical PA also
-  /// depends on the order in which queries reach its LRU simulation, so
-  /// it is pinned only for serial execution.  Per-query stats carry the
-  /// counters; `seconds` is meaningful only on the batch total (wall
-  /// clock of the whole batch, the QPS denominator).  The cost of a
-  /// batch is returned, never accumulated into the index: no member is
-  /// written, so any number of threads may batch-query one instance
-  /// concurrently (the concurrency layer's readers all query the same
-  /// published version).
+  /// selectivities in one batch.  A batch of two or more queries is
+  /// offered to the index's block-major hook (RangeBatchBlockImpl); a
+  /// batch of one, or one the hook declines, runs the query-major loop
+  /// of RangeImpl calls across the global ThreadPool (inline when
+  /// another region holds the pool, see ParallelQueryChunks).  A single
+  /// query gains nothing from block-major amortization and pays its
+  /// tiling overhead, so the batch size picks the engine.  Per-query
+  /// result buffers are element-private and every distance computation
+  /// and page access is counted into a per-query shard, so results and
+  /// compdists (total and `per_query`) equal those of one RangeQuery
+  /// call per query, at any batch size, thread count and SIMD dispatch
+  /// level (tests/batch_invariance_test.cc pins this).  A disk index's
+  /// logical PA also depends on the order in which queries reach its LRU
+  /// simulation, so it is pinned only for serial execution.  Per-query
+  /// stats carry the counters; `seconds` is meaningful only on the batch
+  /// total (wall clock of the whole batch, the QPS denominator).  The
+  /// cost of a batch is returned, never accumulated into the index: no
+  /// member is written, so any number of threads may batch-query one
+  /// instance concurrently (the concurrency layer's readers all query
+  /// the same published version).
   OpStats RangeQueryBatch(const std::vector<ObjectView>& queries,
                           const std::vector<double>& radii,
                           std::vector<std::vector<ObjectId>>* out,
-                          std::vector<OpStats>* per_query = nullptr,
-                          BatchMode mode = BatchMode::kAuto) const;
+                          std::vector<OpStats>* per_query = nullptr) const;
 
   /// Former name of RangeQueryBatch, kept for existing callers.
   OpStats RangeQueryBatchShared(const std::vector<ObjectView>& queries,
                                 const std::vector<double>& radii,
-                                std::vector<std::vector<ObjectId>>* out,
-                                std::vector<OpStats>* per_query = nullptr,
-                                BatchMode mode = BatchMode::kAuto) const {
-    return RangeQueryBatch(queries, radii, out, per_query, mode);
+                                std::vector<std::vector<ObjectId>>* out) const {
+    return RangeQueryBatch(queries, radii, out);
   }
 
   /// Uniform-radius convenience form of the batch MRQ descriptor.
@@ -226,16 +206,13 @@ class MetricIndex {
   OpStats KnnQueryBatch(const std::vector<ObjectView>& queries,
                         const std::vector<size_t>& ks,
                         std::vector<std::vector<Neighbor>>* out,
-                        std::vector<OpStats>* per_query = nullptr,
-                        BatchMode mode = BatchMode::kAuto) const;
+                        std::vector<OpStats>* per_query = nullptr) const;
 
   /// Former name of KnnQueryBatch, kept for existing callers.
   OpStats KnnQueryBatchShared(const std::vector<ObjectView>& queries,
                               const std::vector<size_t>& ks,
-                              std::vector<std::vector<Neighbor>>* out,
-                              std::vector<OpStats>* per_query = nullptr,
-                              BatchMode mode = BatchMode::kAuto) const {
-    return KnnQueryBatch(queries, ks, out, per_query, mode);
+                              std::vector<std::vector<Neighbor>>* out) const {
+    return KnnQueryBatch(queries, ks, out);
   }
 
   /// Uniform-k convenience form of the batch MkNNQ descriptor.
@@ -330,15 +307,17 @@ class MetricIndex {
     return UnimplementedError(name() + " does not implement snapshots");
   }
 
-  /// Block-major batch hooks.  An index that returns true from
-  /// block_major_batches() overrides these to answer the whole batch in
-  /// one block-major pass; returning false (the default) sends the batch
-  /// down the query-major loop.  `per_query` points at one PerfCounters
-  /// shard per query: every distance computation must be counted into
-  /// its query's shard (the entry point sums them into the batch total
-  /// and derives the per-query stats), and query i's results must be
-  /// bit-identical -- contents and order -- to what RangeImpl/KnnImpl
-  /// would produce for that query alone.
+  /// Block-major batch hooks, offered every batch of two or more
+  /// queries.  An index overrides these to answer the whole batch in one
+  /// block-major pass: the pivot table is walked block by block with
+  /// every query filtered against each cache-resident column slab,
+  /// instead of being re-streamed once per query.  Returning false (the
+  /// default) sends the batch down the query-major loop.  `per_query`
+  /// points at one PerfCounters shard per query: every distance
+  /// computation must be counted into its query's shard (the entry point
+  /// sums them into the batch total and derives the per-query stats),
+  /// and query i's results must be bit-identical -- contents and order --
+  /// to what RangeImpl/KnnImpl would produce for that query alone.
   virtual bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                                    const double* radii,
                                    std::vector<std::vector<ObjectId>>* out,

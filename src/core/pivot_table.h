@@ -42,7 +42,7 @@
 // produced.  Survivor lists, query results, verification decisions, and
 // compdists are therefore bit-identical to the row-major double loop at
 // every dispatch level -- while the bulk of the scan touches 4 bytes per
-// row instead of 8 and runs 8-16 lanes wide (half the memory traffic,
+// row instead of 8 and runs 4-16 lanes wide (half the memory traffic,
 // the win bench_micro_scan measures).
 //
 // Two scan forms cover the two table families:

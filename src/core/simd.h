@@ -13,11 +13,15 @@
 //   *_multi               batch forms: the same cells evaluated for
 //                         several queries per load (block-major engine)
 //
-// One implementation set exists per SimdLevel (scalar, AVX2, AVX-512,
-// NEON).  The level is resolved ONCE, at first use: the widest set the
-// CPU supports, overridable with the PMI_SIMD environment knob
-// ("scalar" | "avx2" | "avx512" | "neon" | "auto").  Every level
-// computes exactly the same per-element float predicate
+// One implementation set exists per SimdLevel (scalar, AVX-512, NEON).
+// The level is resolved ONCE, at first use: the widest set the CPU
+// supports, overridable with the PMI_SIMD environment knob
+// ("scalar" | "avx512" | "neon" | "auto").  An x86 CPU without AVX-512
+// resolves to scalar, which the compiler auto-vectorizes for the build's
+// target (-march=native by default); hand-written 8-lane kernels did not
+// beat that by 10% across bench_micro_scan's pivots x selectivity
+// matrix.  Every level computes exactly the same per-element float
+// predicate
 //
 //   keep(i)  <=>  fabsf(col[i] - q) <= r        (IEEE-754 binary32)
 //
@@ -45,19 +49,24 @@
 
 namespace pmi {
 
-/// Kernel implementation tiers, narrowest to widest.
+/// Kernel implementation tiers, narrowest to widest.  Scalar is the
+/// kernel set of every CPU without one of the vector tiers below.
 enum class SimdLevel : uint8_t {
   kScalar = 0,  ///< portable C++ (still auto-vectorizable by the compiler)
   kNeon = 1,    ///< AArch64 NEON, 4 float lanes
-  kAvx2 = 2,    ///< x86 AVX2 + FMA, 8 float lanes
-  kAvx512 = 3,  ///< x86 AVX-512 F/BW/DQ/VL, 16 float lanes + compress-store
+  kAvx512 = 2,  ///< x86 AVX-512 F/BW/DQ/VL, 16 float lanes + compress-store
 };
 
-/// Human-readable level name ("scalar", "avx2", ...).
+/// Human-readable level name ("scalar", "avx512", ...).
 const char* SimdLevelName(SimdLevel level);
 
 /// True when `level` is both compiled in and supported by this CPU.
 bool SimdLevelSupported(SimdLevel level);
+
+/// Every level SimdLevelSupported() accepts on this build and CPU,
+/// narrowest first; scalar is always present.  Tests and benches that
+/// force each level through PMI_SIMD iterate this list.
+std::vector<SimdLevel> SupportedSimdLevels();
 
 /// One pivot slot's worth of filter inputs for the exact mask kernels:
 /// the f32 filter column with its wide/narrow radii, and the f64 column
@@ -122,7 +131,7 @@ struct SimdOps {
   /// Dense-path profitability: a block stays on the mask-AND path while
   /// survivors * dense_divisor >= block rows.  0 disables the dense path
   /// -- on the scalar level a whole-block re-sweep never beats the
-  /// branch-free survivor walk, while the vector levels narrow 8-16
+  /// branch-free survivor walk, while the vector levels narrow 4-16
   /// lanes per cycle contiguously.  The gather (per-row-pivot) form has
   /// its own divisor because a level may vectorize only the contiguous
   /// kernels (NEON: no gather hardware), in which case whole-block

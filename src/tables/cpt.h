@@ -30,13 +30,6 @@ class Cpt final : public MetricIndex {
 
   std::string name() const override { return "CPT"; }
   bool disk_based() const override { return true; }
-  // Batch MRQs run block-major over the in-memory table half; the disk
-  // verification phase then replays the query-major page-access sequence
-  // exactly (see RangeBatchBlockImpl).  MkNNQ batches stay query-major:
-  // the shrinking radius interleaves verification I/O with the scan, so
-  // reordering would change which buffer-pool accesses miss -- and PA is
-  // an accounted cost here, not a hint.
-  bool block_major_batches() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
   size_t disk_bytes() const override;
@@ -52,6 +45,12 @@ class Cpt final : public MetricIndex {
                std::vector<Neighbor>* out) const override;
   void InsertImpl(ObjectId id) override;
   void RemoveImpl(ObjectId id) override;
+  // Batch MRQs of two or more queries run block-major over the in-memory
+  // table half; the disk verification phase then replays the query-major
+  // page-access sequence exactly.  MkNNQ batches stay query-major (no
+  // KnnBatchBlockImpl): the shrinking radius interleaves verification
+  // I/O with the scan, so reordering would change which buffer-pool
+  // accesses miss -- and PA is an accounted cost here, not a hint.
   bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                            const double* radii,
                            std::vector<std::vector<ObjectId>>* out,

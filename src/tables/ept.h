@@ -41,8 +41,6 @@ class Ept final : public MetricIndex {
     return variant_ == Variant::kClassic ? "EPT" : "EPT*";
   }
   bool disk_based() const override { return false; }
-  // Batches run block-major over the per-row-pivot table (see Laesa).
-  bool block_major_batches() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 
@@ -60,6 +58,8 @@ class Ept final : public MetricIndex {
                std::vector<Neighbor>* out) const override;
   void InsertImpl(ObjectId id) override;
   void RemoveImpl(ObjectId id) override;
+  // Batches of two or more run block-major over the per-row-pivot table
+  // (see Laesa).
   bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                            const double* radii,
                            std::vector<std::vector<ObjectId>>* out,

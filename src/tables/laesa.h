@@ -33,10 +33,6 @@ class Laesa final : public MetricIndex {
 
   std::string name() const override { return "LAESA"; }
   bool disk_based() const override { return false; }
-  // Batches run block-major: one pivot-table pass for the whole batch
-  // (src/core/pivot_table.h ScanBlockMajor), bit-identical to the
-  // query-major loop.
-  bool block_major_batches() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 
@@ -52,6 +48,9 @@ class Laesa final : public MetricIndex {
                std::vector<Neighbor>* out) const override;
   void InsertImpl(ObjectId id) override;
   void RemoveImpl(ObjectId id) override;
+  // Batches of two or more run block-major: one pivot-table pass for the
+  // whole batch (src/core/pivot_table.h ScanBlockMajor), bit-identical
+  // to the query-major loop.
   bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                            const double* radii,
                            std::vector<std::vector<ObjectId>>* out,

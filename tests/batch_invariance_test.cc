@@ -4,15 +4,17 @@
 //
 // The contract (src/core/index.h, pivot_table.h ScanBlockMajor): batch
 // results, total compdists, and per-query OpStats are independent of
-//   - execution mode (block-major vs the frozen query-major loop),
+//   - execution engine (a block-major batch vs a loop of single-query
+//     calls, the query-major reference),
 //   - batch order (permuting the queries permutes the answers),
-//   - batch split (one big batch == concatenated sub-batches),
+//   - batch split (one big batch == concatenated sub-batches, batches of
+//     one included, which take the query-major loop),
 //   - thread count, and
 //   - SIMD dispatch level,
-// for every index that opts into block_major_batches() -- LAESA, EPT,
-// EPT*, and CPT (whose MRQ batches must additionally replay the
-// query-major buffer-pool access sequence exactly, so even page
-// accesses are pinned).
+// for every index with a block-major batch hook -- LAESA, EPT, EPT*,
+// and CPT (whose MRQ batches must additionally replay the query-major
+// buffer-pool access sequence exactly, so even page accesses are
+// pinned).
 
 #include <algorithm>
 #include <cstdlib>
@@ -108,6 +110,40 @@ void ExpectSamePerQuery(const std::vector<OpStats>& got,
   }
 }
 
+// The query-major reference: one RangeQuery call per query -- the
+// RangeImpl calls a batch's query-major loop makes -- with the per-query
+// stats summed into the returned total.
+OpStats RangeQueryLoop(const MetricIndex& index,
+                       const std::vector<ObjectView>& queries,
+                       const std::vector<double>& radii,
+                       std::vector<std::vector<ObjectId>>* out,
+                       std::vector<OpStats>* per_query) {
+  out->assign(queries.size(), {});
+  per_query->clear();
+  OpStats total;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    per_query->push_back(index.RangeQuery(queries[i], radii[i], &(*out)[i]));
+    total += per_query->back();
+  }
+  return total;
+}
+
+// The MkNNQ counterpart of RangeQueryLoop.
+OpStats KnnQueryLoop(const MetricIndex& index,
+                     const std::vector<ObjectView>& queries,
+                     const std::vector<size_t>& ks,
+                     std::vector<std::vector<Neighbor>>* out,
+                     std::vector<OpStats>* per_query) {
+  out->assign(queries.size(), {});
+  per_query->clear();
+  OpStats total;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    per_query->push_back(index.KnnQuery(queries[i], ks[i], &(*out)[i]));
+    total += per_query->back();
+  }
+  return total;
+}
+
 using IndexFactory = std::unique_ptr<MetricIndex> (*)();
 
 const IndexFactory kBlockMajorFactories[] = {
@@ -126,7 +162,6 @@ const IndexFactory kBlockMajorFactories[] = {
 std::unique_ptr<MetricIndex> BuildFresh(IndexFactory make) {
   auto index = make();
   index->Build(world->bd.data, *world->bd.metric, world->pivots);
-  EXPECT_TRUE(index->block_major_batches()) << index->name();
   return index;
 }
 
@@ -136,9 +171,9 @@ std::vector<std::unique_ptr<MetricIndex>> BuildBlockMajorIndexes() {
   return out;
 }
 
-// Mode equivalence: block-major answers (results, total stats,
-// per-query stats) must equal the frozen query-major path bit for bit.
-// Each mode runs on a freshly built instance so CPT's buffer pool
+// Engine equivalence: block-major batch answers (results, total stats,
+// per-query stats) must equal a loop of single-query calls bit for bit.
+// Each engine runs on a freshly built instance so CPT's buffer pool
 // starts from the identical post-build state -- the page-access replay
 // is then pinned exactly, not just the results.
 TEST_F(BatchInvarianceTest, BlockMajorMatchesQueryMajor) {
@@ -147,12 +182,10 @@ TEST_F(BatchInvarianceTest, BlockMajorMatchesQueryMajor) {
     auto index_bm = BuildFresh(make);
     std::vector<std::vector<ObjectId>> mrq_qm, mrq_bm;
     std::vector<OpStats> pq_qm, pq_bm;
-    OpStats qm = index_qm->RangeQueryBatch(world->queries, world->radii,
-                                           &mrq_qm, &pq_qm,
-                                           BatchMode::kQueryMajor);
+    OpStats qm = RangeQueryLoop(*index_qm, world->queries, world->radii,
+                                &mrq_qm, &pq_qm);
     OpStats bm = index_bm->RangeQueryBatch(world->queries, world->radii,
-                                           &mrq_bm, &pq_bm,
-                                           BatchMode::kAuto);
+                                           &mrq_bm, &pq_bm);
     EXPECT_EQ(mrq_bm, mrq_qm) << index_qm->name();
     EXPECT_EQ(bm.dist_computations, qm.dist_computations) << index_qm->name();
     EXPECT_EQ(bm.page_reads, qm.page_reads) << index_qm->name();
@@ -164,10 +197,8 @@ TEST_F(BatchInvarianceTest, BlockMajorMatchesQueryMajor) {
     EXPECT_EQ(sum, bm.dist_computations) << index_qm->name();
 
     std::vector<std::vector<Neighbor>> knn_qm, knn_bm;
-    qm = index_qm->KnnQueryBatch(world->queries, world->ks, &knn_qm, &pq_qm,
-                                 BatchMode::kQueryMajor);
-    bm = index_bm->KnnQueryBatch(world->queries, world->ks, &knn_bm, &pq_bm,
-                                 BatchMode::kAuto);
+    qm = KnnQueryLoop(*index_qm, world->queries, world->ks, &knn_qm, &pq_qm);
+    bm = index_bm->KnnQueryBatch(world->queries, world->ks, &knn_bm, &pq_bm);
     ExpectSameKnn(knn_bm, knn_qm);
     EXPECT_EQ(bm.dist_computations, qm.dist_computations) << index_qm->name();
     ExpectSamePerQuery(pq_bm, pq_qm);
@@ -244,9 +275,10 @@ TEST_F(BatchInvarianceTest, BatchOrderInvariance) {
 }
 
 // Splitting a batch into sub-batches changes nothing: per-query answers
-// and per-query compdists concatenate.
+// and per-query compdists concatenate.  The batch of one runs the
+// query-major loop, the others the block-major hook.
 TEST_F(BatchInvarianceTest, BatchSplitInvariance) {
-  const size_t kSplits[] = {3, 8, 16};  // 3 + 8 + 16 = kQueries
+  const size_t kSplits[] = {1, 2, 8, 16};  // 1 + 2 + 8 + 16 = kQueries
   for (auto& index : BuildBlockMajorIndexes()) {
     std::vector<std::vector<ObjectId>> whole;
     std::vector<OpStats> whole_pq;
@@ -273,8 +305,8 @@ TEST_F(BatchInvarianceTest, BatchSplitInvariance) {
   }
 }
 
-// The full cross product: dispatch level x thread count x mode, pinned
-// against one reference capture.
+// The full cross product: dispatch level x thread count x engine (batch
+// or single-query loop), pinned against one reference capture.
 TEST_F(BatchInvarianceTest, LevelThreadModeCrossProduct) {
   const char* inherited_env = getenv("PMI_SIMD");
   const std::string inherited = inherited_env ? inherited_env : "";
@@ -292,22 +324,26 @@ TEST_F(BatchInvarianceTest, LevelThreadModeCrossProduct) {
     uint64_t compdists = 0;
   };
   std::vector<Capture> captures;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (!SimdLevelSupported(level)) continue;
+  for (SimdLevel level : SupportedSimdLevels()) {
     ASSERT_EQ(setenv("PMI_SIMD", SimdLevelName(level), 1), 0);
     ReinitSimdDispatch();
     for (unsigned threads : {1u, 2u, 8u}) {
       ThreadPool::SetGlobalThreads(threads);
-      for (BatchMode mode : {BatchMode::kAuto, BatchMode::kQueryMajor}) {
+      for (bool loop : {false, true}) {
         Capture c;
         for (MetricIndex* index : indexes) {
           std::vector<std::vector<ObjectId>> mrq;
-          OpStats rs = index->RangeQueryBatch(world->queries, world->radii,
-                                              &mrq, nullptr, mode);
           std::vector<std::vector<Neighbor>> knn;
-          OpStats ks = index->KnnQueryBatch(world->queries, world->ks, &knn,
-                                            nullptr, mode);
+          std::vector<OpStats> pq;
+          const OpStats rs =
+              loop ? RangeQueryLoop(*index, world->queries, world->radii,
+                                    &mrq, &pq)
+                   : index->RangeQueryBatch(world->queries, world->radii,
+                                            &mrq);
+          const OpStats ks =
+              loop ? KnnQueryLoop(*index, world->queries, world->ks, &knn,
+                                  &pq)
+                   : index->KnnQueryBatch(world->queries, world->ks, &knn);
           c.compdists += rs.dist_computations + ks.dist_computations;
           for (auto& v : mrq) c.mrq.push_back(std::move(v));
           for (auto& v : knn) c.knn.push_back(std::move(v));
@@ -343,8 +379,9 @@ TEST_F(BatchInvarianceTest, DegenerateBatchesMatchQueryMajor) {
     std::vector<ObjectView> queries(world->queries.begin(),
                                     world->queries.begin() + ks.size());
     std::vector<std::vector<Neighbor>> bm, qm;
-    index->KnnQueryBatch(queries, ks, &bm, nullptr, BatchMode::kAuto);
-    index->KnnQueryBatch(queries, ks, &qm, nullptr, BatchMode::kQueryMajor);
+    std::vector<OpStats> pq;
+    index->KnnQueryBatch(queries, ks, &bm);
+    KnnQueryLoop(*index, queries, ks, &qm, &pq);
     ExpectSameKnn(bm, qm);
     EXPECT_TRUE(bm[0].empty());
     EXPECT_EQ(bm[2].size(), size_t{kN});
@@ -353,9 +390,8 @@ TEST_F(BatchInvarianceTest, DegenerateBatchesMatchQueryMajor) {
                                  world->bd.metric->max_distance() * 1.01,
                                  world->radii[4]};
     std::vector<std::vector<ObjectId>> rbm, rqm;
-    index->RangeQueryBatch(queries, radii, &rbm, nullptr, BatchMode::kAuto);
-    index->RangeQueryBatch(queries, radii, &rqm, nullptr,
-                           BatchMode::kQueryMajor);
+    index->RangeQueryBatch(queries, radii, &rbm);
+    RangeQueryLoop(*index, queries, radii, &rqm, &pq);
     EXPECT_EQ(rbm, rqm) << index->name();
     EXPECT_TRUE(rbm[2].empty());        // negative radius matches nothing
     EXPECT_EQ(rbm[3].size(), size_t{kN});  // max-distance radius matches all

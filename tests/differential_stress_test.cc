@@ -228,15 +228,6 @@ void ReplayAndCheck(MetricIndex* index, const Script& script,
   }
 }
 
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> out;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (SimdLevelSupported(level)) out.push_back(level);
-  }
-  return out;
-}
-
 /// Replay budget per index.  Every in-memory index replays the full
 /// script (FQA included -- its quantized-window scan binary-searches to
 /// each distance value actually present instead of probing every
@@ -292,7 +283,7 @@ TEST(DifferentialStressTest, InMemoryIndexesMatchOracleAcrossConfigs) {
       if (::testing::Test::HasFatalFailure()) break;
       continue;
     }
-    for (SimdLevel level : SupportedLevels()) {
+    for (SimdLevel level : SupportedSimdLevels()) {
       ASSERT_EQ(setenv("PMI_SIMD", SimdLevelName(level), 1), 0);
       ReinitSimdDispatch();
       for (unsigned threads : {1u, 4u}) {

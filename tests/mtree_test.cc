@@ -1,9 +1,12 @@
 // M-tree tests: structural invariants (covering radii and parent
 // distances), ball-query correctness via tree traversal against brute
-// force, PM-tree MBB invariants, deletion, and the CPT placement hook.
+// force, PM-tree MBB invariants, deletion, the CPT placement hook, and
+// clones that split exactly as their source would.
 
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -188,6 +191,51 @@ TEST(MTreeTest, PlacementHookTracksEveryObject) {
     bool found = false;
     for (const auto& e : node.leaves) found |= e.oid == oid;
     EXPECT_TRUE(found) << "placement map points to wrong leaf for " << oid;
+  }
+}
+
+// A clone (PagedFile::Clone plus the MTree clone constructor) must
+// carry the split-sampling RNG state: inserting the same objects into
+// the source and the clone then promotes the same routing objects, so
+// both trees end with the same shape, costs and page bytes.  A clone
+// that restarts its RNG from the seed samples different promotion pairs
+// at its next split.
+TEST(MTreeTest, CloneContinuesTheSplitRngOfItsSource) {
+  BenchDataset bd = MakeBenchDataset(BenchDatasetId::kSynthetic, 1200, 77);
+  PerfCounters counters;
+  PagedFile file(4096, 128 * 1024, &counters);
+  MTree tree(&file, &bd.data, DistanceComputer(bd.metric.get(), &counters),
+             MTree::Options{});
+  const ObjectId half = static_cast<ObjectId>(bd.data.size() / 2);
+  for (ObjectId i = 0; i < half; ++i) tree.Insert(i, {});
+  file.Flush();
+  ASSERT_GT(tree.height(), 1u) << "the first half must split the root";
+
+  PerfCounters clone_counters;
+  std::unique_ptr<PagedFile> clone_file = file.Clone(&clone_counters);
+  MTree clone(tree, clone_file.get(),
+              DistanceComputer(bd.metric.get(), &clone_counters));
+  const PerfCounters before = counters;
+  for (ObjectId i = half; i < bd.data.size(); ++i) {
+    tree.Insert(i, {});
+    clone.Insert(i, {});
+  }
+  file.Flush();
+  clone_file->Flush();
+  const PerfCounters source_cost = counters - before;
+
+  EXPECT_EQ(clone.root(), tree.root());
+  EXPECT_EQ(clone.height(), tree.height());
+  EXPECT_EQ(clone.size(), tree.size());
+  EXPECT_EQ(clone_counters.dist_computations, source_cost.dist_computations);
+  EXPECT_EQ(clone_counters.page_reads, source_cost.page_reads);
+  EXPECT_EQ(clone_counters.page_writes, source_cost.page_writes);
+  ASSERT_EQ(clone_file->num_pages(), file.num_pages());
+  for (PageId p = 0; p < file.num_pages(); ++p) {
+    EXPECT_EQ(std::memcmp(clone_file->RawPage(p), file.RawPage(p),
+                          file.page_size()),
+              0)
+        << "page " << p;
   }
 }
 

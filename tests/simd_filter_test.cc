@@ -36,15 +36,6 @@
 namespace pmi {
 namespace {
 
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> out;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (SimdLevelSupported(level)) out.push_back(level);
-  }
-  return out;
-}
-
 void ForceLevel(SimdLevel level) {
   ASSERT_EQ(setenv("PMI_SIMD", SimdLevelName(level), 1), 0);
   ReinitSimdDispatch();
@@ -134,7 +125,7 @@ TEST(SimdFilterTest, SharedScanBitIdenticalAcrossLevelsAllWidths) {
     for (auto& x : phi_q) x = rng() % 6 == 0 ? SpecialValue(&rng) : u(rng);
     for (double r : kFuzzRadii) {
       const std::vector<uint32_t> want = t.ReferenceScan(phi_q.data(), r);
-      for (SimdLevel level : SupportedLevels()) {
+      for (SimdLevel level : SupportedSimdLevels()) {
         ForceLevel(level);
         std::vector<uint32_t> got;
         t.table.RangeScan(phi_q.data(), r, &got);
@@ -162,7 +153,7 @@ TEST(SimdFilterTest, SharedScanBitIdenticalAcrossLevelsBlockTails) {
     for (auto& x : phi_q) x = u(rng);
     for (double r : kFuzzRadii) {
       const std::vector<uint32_t> want = t.ReferenceScan(phi_q.data(), r);
-      for (SimdLevel level : SupportedLevels()) {
+      for (SimdLevel level : SupportedSimdLevels()) {
         ForceLevel(level);
         std::vector<uint32_t> got;
         t.table.RangeScan(phi_q.data(), r, &got);
@@ -210,7 +201,7 @@ TEST(SimdFilterTest, IndirectScanBitIdenticalAcrossLevels) {
         }
         if (!pruned) want.push_back(static_cast<uint32_t>(i));
       }
-      for (SimdLevel level : SupportedLevels()) {
+      for (SimdLevel level : SupportedSimdLevels()) {
         ForceLevel(level);
         std::vector<uint32_t> got;
         table.RangeScanIndirect(d_qp.data(), kPool, r, &got);
@@ -249,7 +240,7 @@ TEST(SimdFilterTest, BoundaryValuesNeverFlipDecisions) {
   const std::vector<uint32_t> want = t.ReferenceScan(phi_q.data(), r);
   EXPECT_FALSE(want.empty());
   EXPECT_LT(want.size(), t.table.rows());  // both sides of the boundary hit
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : SupportedSimdLevels()) {
     ForceLevel(level);
     std::vector<uint32_t> got;
     t.table.RangeScan(phi_q.data(), r, &got);
@@ -286,7 +277,7 @@ TEST(SimdFilterTest, IndexQueriesBitIdenticalAcrossLevels) {
     std::vector<uint64_t> compdists;
   };
   std::vector<Capture> captures;
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : SupportedSimdLevels()) {
     ForceLevel(level);
     Capture c;
     for (MetricIndex* index : indexes) {
@@ -346,7 +337,7 @@ TEST(SimdFilterTest, BlockMajorScanMatchesPerQueryScanAcrossLevels) {
       radii[qi] = kFuzzRadii[rng() % (sizeof(kFuzzRadii) /
                                       sizeof(kFuzzRadii[0]))];
     }
-    for (SimdLevel level : SupportedLevels()) {
+    for (SimdLevel level : SupportedSimdLevels()) {
       ForceLevel(level);
       std::vector<std::vector<uint32_t>> got(nq);
       t.table.ScanBlockMajor(
@@ -415,7 +406,7 @@ TEST(SimdFilterTest, BlockMajorScanTileBoundaryWithUniformRadius) {
   for (size_t qi = PivotTable::kScanBatchTile; qi < nq; ++qi) {
     phi[qi] = {q0, q0};
   }
-  for (SimdLevel level : SupportedLevels()) {
+  for (SimdLevel level : SupportedSimdLevels()) {
     ForceLevel(level);
     std::vector<std::vector<uint32_t>> got(nq);
     t.table.ScanBlockMajor(
@@ -464,7 +455,7 @@ TEST(SimdFilterTest, BlockMajorIndirectScanMatchesPerQueryScan) {
       radii[qi] = kFuzzRadii[rng() % (sizeof(kFuzzRadii) /
                                       sizeof(kFuzzRadii[0]))];
     }
-    for (SimdLevel level : SupportedLevels()) {
+    for (SimdLevel level : SupportedSimdLevels()) {
       ForceLevel(level);
       std::vector<std::vector<uint32_t>> got(nq);
       table.ScanBlockMajorIndirect(
@@ -486,12 +477,15 @@ TEST(SimdFilterTest, BlockMajorIndirectScanMatchesPerQueryScan) {
   RestoreDefaultLevel();
 }
 
-// The PMI_SIMD knob itself: unknown values fall back to a supported
-// level instead of crashing, and "scalar" always pins the scalar table.
+// The PMI_SIMD knob itself: unknown values ("avx2" names no level)
+// fall back to a supported level instead of crashing, and "scalar"
+// always pins the scalar table.
 TEST(SimdFilterTest, EnvKnobFallsBackSafely) {
-  ASSERT_EQ(setenv("PMI_SIMD", "warp9", 1), 0);
-  ReinitSimdDispatch();
-  EXPECT_TRUE(SimdLevelSupported(SimdLevelInUse()));
+  for (const char* unknown : {"warp9", "avx2"}) {
+    ASSERT_EQ(setenv("PMI_SIMD", unknown, 1), 0);
+    ReinitSimdDispatch();
+    EXPECT_TRUE(SimdLevelSupported(SimdLevelInUse())) << unknown;
+  }
   ForceLevel(SimdLevel::kScalar);
   EXPECT_EQ(SimdLevelInUse(), SimdLevel::kScalar);
   RestoreDefaultLevel();

@@ -230,11 +230,10 @@ TEST_F(ThreadInvarianceTest, EstimateDistributionIsIdentical) {
 TEST_F(ThreadInvarianceTest, ResultsInvariantAcrossSimdLevelsAndThreads) {
   // The SIMD dispatch level must be as invisible as the thread count:
   // identical batch results and compdists whether the filter runs
-  // scalar, AVX2, or AVX-512, at any pool size -- and, since PR 5,
-  // whether the batch executes block-major (the kAuto default for the
-  // table indexes) or through the frozen query-major loop.  (The
-  // dispatch table is only swapped between batches -- ReinitSimdDispatch
-  // is not query-concurrent-safe.)
+  // scalar or vectorized, at any pool size -- and equal to the
+  // query-major reference, a loop of single-query calls, which the
+  // first capture records.  (The dispatch table is only swapped between
+  // batches -- ReinitSimdDispatch is not query-concurrent-safe.)
   // The CI scalar-dispatch leg pins PMI_SIMD for the whole run: restore
   // the inherited value afterward rather than clearing it.
   const char* inherited_env = getenv("PMI_SIMD");
@@ -246,27 +245,34 @@ TEST_F(ThreadInvarianceTest, ResultsInvariantAcrossSimdLevelsAndThreads) {
   std::vector<std::vector<std::vector<ObjectId>>> mrq;
   std::vector<std::vector<std::vector<Neighbor>>> knn;
   std::vector<uint64_t> compdists;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (!SimdLevelSupported(level)) continue;
+  {
+    std::vector<std::vector<ObjectId>> range_out(world_->queries.size());
+    std::vector<std::vector<Neighbor>> knn_out(world_->queries.size());
+    uint64_t cd = 0;
+    for (size_t i = 0; i < world_->queries.size(); ++i) {
+      cd += laesa.RangeQuery(world_->queries[i], r, &range_out[i])
+                .dist_computations;
+      std::sort(range_out[i].begin(), range_out[i].end());
+      cd += laesa.KnnQuery(world_->queries[i], 10, &knn_out[i])
+                .dist_computations;
+    }
+    mrq.push_back(std::move(range_out));
+    knn.push_back(std::move(knn_out));
+    compdists.push_back(cd);
+  }
+  for (SimdLevel level : SupportedSimdLevels()) {
     ASSERT_EQ(setenv("PMI_SIMD", SimdLevelName(level), 1), 0);
     ReinitSimdDispatch();
     for (unsigned t : kThreadCounts) {
       ThreadPool::SetGlobalThreads(t);
-      for (BatchMode mode : {BatchMode::kAuto, BatchMode::kQueryMajor}) {
-        const std::vector<double> radii(world_->queries.size(), r);
-        const std::vector<size_t> ks_vec(world_->queries.size(), 10);
-        std::vector<std::vector<ObjectId>> range_out;
-        OpStats rs = laesa.RangeQueryBatch(world_->queries, radii,
-                                           &range_out, nullptr, mode);
-        for (auto& out : range_out) std::sort(out.begin(), out.end());
-        std::vector<std::vector<Neighbor>> knn_out;
-        OpStats ks = laesa.KnnQueryBatch(world_->queries, ks_vec, &knn_out,
-                                         nullptr, mode);
-        mrq.push_back(std::move(range_out));
-        knn.push_back(std::move(knn_out));
-        compdists.push_back(rs.dist_computations + ks.dist_computations);
-      }
+      std::vector<std::vector<ObjectId>> range_out;
+      OpStats rs = laesa.RangeQueryBatch(world_->queries, r, &range_out);
+      for (auto& out : range_out) std::sort(out.begin(), out.end());
+      std::vector<std::vector<Neighbor>> knn_out;
+      OpStats ks = laesa.KnnQueryBatch(world_->queries, 10, &knn_out);
+      mrq.push_back(std::move(range_out));
+      knn.push_back(std::move(knn_out));
+      compdists.push_back(rs.dist_computations + ks.dist_computations);
     }
   }
   if (had_inherited) {
@@ -275,7 +281,7 @@ TEST_F(ThreadInvarianceTest, ResultsInvariantAcrossSimdLevelsAndThreads) {
     unsetenv("PMI_SIMD");
   }
   ReinitSimdDispatch();
-  ASSERT_GE(mrq.size(), kThreadCounts.size());
+  ASSERT_GE(mrq.size(), 1 + kThreadCounts.size());
   for (size_t i = 1; i < mrq.size(); ++i) {
     EXPECT_EQ(compdists[i], compdists[0]);
     ASSERT_EQ(mrq[i].size(), mrq[0].size());

@@ -7,7 +7,10 @@ Matches result entries by their identity fields (name + level / pivots /
 selectivity / threads / batch -- whatever the entry carries) and reports
 the ratio of every shared timing field (...ms, ...qps).  Rows either
 file marks "valid": false (more threads than the host had) are skipped.
-The output is a human-readable delta table for the CI log.
+Baseline rows the fresh run does not produce at all (a deleted bench
+section or dispatch level, or one this host cannot run) are listed by
+name, so a lost section never reads as "within noise".  The output is a
+human-readable delta table for the CI log.
 
 This is a *warn-only* tool: CI hardware is noisy shared infrastructure,
 so regressions are reported, never enforced -- the checked-in baselines
@@ -52,6 +55,8 @@ def main(argv):
         return 1
 
     base_by_id = {identity(e): e for e in baseline.get("results", [])}
+    fresh_ids = {identity(e) for e in fresh.get("results", [])}
+    missing = [i for i in base_by_id if i not in fresh_ids]
     warned = 0
     compared = 0
     for entry in fresh.get("results", []):
@@ -79,6 +84,13 @@ def main(argv):
                 flag = f"  ({1 / slower:.2f}x faster)"
             print(f"{label} {key}: baseline={old:.4g} now={value:.4g}{flag}")
 
+    for ident in missing:
+        label = " ".join(f"{k}={v}" for k, v in ident)
+        print(f"{label}: in baseline, missing from fresh run")
+
+    if missing:
+        print(f"bench_delta: {len(missing)} baseline rows missing from the "
+              f"fresh run (warn-only, see above)")
     if compared == 0:
         print("bench_delta: no comparable entries (baseline schema changed?)")
     elif warned:
