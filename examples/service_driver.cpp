@@ -24,8 +24,8 @@
 //   PMI_STRESS_THREADS   client threads (default 8)
 //   PMI_DRIVER_N         dataset cardinality (default 20000)
 //   PMI_DRIVER_SHARDS    shard count (default 4)
-//   PMI_DRIVER_WORKERS   admission workers (default 4)
-//   PMI_DRIVER_QUEUE     admission queue capacity (default 64)
+//   PMI_DRIVER_WORKERS   requests running at once (default 4)
+//   PMI_DRIVER_QUEUE     requests waiting for a turn (default 64)
 //   PMI_DRIVER_ROUNDS    rounds per client (default 200)
 //   PMI_FAULT_SEED       --chaos only: fault plan seed (default 20260809)
 

@@ -1,75 +1,52 @@
 #include "src/service/admission.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace pmi {
 
-AdmissionQueue::AdmissionQueue(uint32_t workers, uint32_t capacity)
-    : capacity_(std::max(capacity, 1u)) {
-  workers_.reserve(std::max(workers, 1u));
-  for (uint32_t i = 0; i < std::max(workers, 1u); ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+bool AdmissionQueue::Enter() {
+  std::unique_lock<std::mutex> lock(mu_);
+  const bool must_wait = stats_.in_flight >= workers_ || stats_.depth > 0;
+  if (stopping_ || (must_wait && stats_.depth >= capacity_)) {
+    ++stats_.rejected;
+    return false;
   }
-}
-
-AdmissionQueue::~AdmissionQueue() { Shutdown(); }
-
-bool AdmissionQueue::TrySubmit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || queue_.size() >= capacity_) {
-      ++stats_.rejected;
-      return false;
-    }
-    queue_.push_back(std::move(task));
-    ++stats_.accepted;
-    stats_.depth = static_cast<uint32_t>(queue_.size());
+  ++stats_.accepted;
+  if (must_wait) {
+    const uint64_t ticket = next_ticket_++;
+    ++stats_.depth;
     stats_.peak_depth = std::max(stats_.peak_depth, stats_.depth);
+    cv_.wait(lock, [&] {
+      return ticket == now_serving_ && stats_.in_flight < workers_;
+    });
+    ++now_serving_;
+    --stats_.depth;
+    // More than one slot may be free: let the next ticket check.
+    if (stats_.depth > 0) cv_.notify_all();
   }
-  cv_.notify_one();
+  ++stats_.in_flight;
   return true;
 }
 
-void AdmissionQueue::Shutdown() {
+void AdmissionQueue::Leave() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && workers_.empty()) return;
-    stopping_ = true;
+    --stats_.in_flight;
+    ++stats_.executed;
   }
+  // Wakes the next ticket, or Shutdown() once the gate is empty.
   cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
+}
+
+void AdmissionQueue::Shutdown() {
+  std::unique_lock<std::mutex> lock(mu_);
+  stopping_ = true;
+  cv_.wait(lock, [&] { return stats_.in_flight == 0 && stats_.depth == 0; });
 }
 
 AdmissionQueue::Stats AdmissionQueue::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void AdmissionQueue::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Drain-before-exit: accepted tasks run even during shutdown
-      // (synchronous submitters are blocked on their completion).
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      stats_.depth = static_cast<uint32_t>(queue_.size());
-      ++stats_.in_flight;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --stats_.in_flight;
-      ++stats_.executed;
-    }
-  }
 }
 
 }  // namespace pmi

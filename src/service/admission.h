@@ -1,77 +1,74 @@
-// Bounded admission queue + worker pool: the service's backpressure
-// seam.
+// Bounded FIFO admission gate: the service's backpressure seam.
 //
-// Every ShardedService request (query or update) is admitted through
-// this queue.  Admission is fail-fast: TrySubmit never blocks and never
-// queues beyond the configured capacity -- when the queue is full the
-// caller gets `false` and surfaces a typed kResourceExhausted instead of
-// stacking latency unboundedly.  A fixed pool of worker threads drains
-// the queue FIFO; deadline enforcement happens in the task wrapper the
-// service builds (a task whose deadline elapsed while queued completes
-// immediately with kDeadlineExceeded rather than burning a worker on a
-// dead request).
+// Every ShardedService request (query or update) passes this gate and
+// then runs on the thread that submitted it.  At most `workers`
+// requests run at once; up to `capacity` more wait for a turn, in
+// arrival (ticket) order.  Admission is fail-fast beyond that: when
+// `capacity` requests already wait, Enter() refuses without blocking
+// and the caller surfaces a typed kResourceExhausted instead of
+// stacking latency unboundedly.  Deadline enforcement happens in the
+// service: a request whose deadline passed while it waited still takes
+// its turn, then fails fast with kDeadlineExceeded without running.
 //
-// Shutdown() stops admission, then lets the workers DRAIN the queue
-// before joining -- queued tasks carry completion slots that synchronous
-// callers are blocked on, so dropping them would deadlock those callers.
+// Shutdown() refuses new entries, then returns once every admitted
+// request -- running or still waiting -- has left, so callers already
+// inside the gate finish normally.
 
 #ifndef PMI_SERVICE_ADMISSION_H_
 #define PMI_SERVICE_ADMISSION_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 namespace pmi {
 
 class AdmissionQueue {
  public:
   /// Point-in-time load/throughput counters (test + driver
-  /// introspection).  accepted = TrySubmit successes; rejected =
-  /// fail-fast refusals; executed = tasks a worker completed.
+  /// introspection).  accepted = Enter() successes; rejected = fail-fast
+  /// refusals; executed = requests that left the gate.
   struct Stats {
     uint64_t accepted = 0;
     uint64_t rejected = 0;
     uint64_t executed = 0;
-    uint32_t depth = 0;       // queued, not yet picked up
+    uint32_t depth = 0;       // admitted, waiting for a turn
     uint32_t peak_depth = 0;  // high-water mark of depth
-    uint32_t in_flight = 0;   // currently executing on a worker
+    uint32_t in_flight = 0;   // currently running
   };
 
-  /// Spawns `workers` worker threads (>= 1) over a queue holding at most
-  /// `capacity` (>= 1) pending tasks.
-  AdmissionQueue(uint32_t workers, uint32_t capacity);
-
-  /// Shutdown() if the caller has not already.
-  ~AdmissionQueue();
+  /// Lets `workers` (>= 1) requests run at once and `capacity` (>= 1)
+  /// more wait.
+  AdmissionQueue(uint32_t workers, uint32_t capacity)
+      : workers_(workers), capacity_(capacity) {}
 
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
-  /// Enqueues `task` unless the queue is at capacity or shut down.
-  /// Never blocks.  Returns false on refusal (the task is untouched).
-  bool TrySubmit(std::function<void()> task);
+  /// Admits the caller: returns true once it may run (after waiting its
+  /// turn if every worker slot is taken), or false at once when the
+  /// wait line is full or the gate is shut.  Every true must be paired
+  /// with one Leave().
+  bool Enter();
 
-  /// Stops admission, drains already-accepted tasks, joins the workers.
+  /// Ends a request admitted by Enter().
+  void Leave();
+
+  /// Refuses new entries and returns once nothing runs or waits.
   /// Idempotent.
   void Shutdown();
 
   Stats stats() const;
 
  private:
-  void WorkerLoop();
-
+  const uint32_t workers_;
   const uint32_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  uint64_t next_ticket_ = 0;  // handed to the next request that waits
+  uint64_t now_serving_ = 0;  // the waiting ticket admitted next
   bool stopping_ = false;
   Stats stats_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace pmi

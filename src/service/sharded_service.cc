@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,24 +120,6 @@ double SecondsSince(SteadyClock::time_point t0) {
   return std::chrono::duration<double>(SteadyClock::now() - t0).count();
 }
 
-/// Scatter/gather against an already-pinned view bundle (the direct
-/// read path shared by ReadView::Query).
-StatusOr<QueryResult> GatherAtViews(const ShardRouter& router,
-                                    const std::vector<MetricDB::ReadView>& views,
-                                    const QueryRequest& request) {
-  SteadyClock::time_point t0 = SteadyClock::now();
-  std::vector<QueryResult> per_shard;
-  per_shard.reserve(views.size());
-  for (const MetricDB::ReadView& view : views) {
-    StatusOr<QueryResult> r = view.Query(request);
-    if (!r.ok()) return r.status();
-    per_shard.push_back(std::move(*r));
-  }
-  QueryResult merged = MergeShardResults(router, request, std::move(per_shard));
-  merged.stats.seconds = SecondsSince(t0);
-  return merged;
-}
-
 const char* HealthDetail(ShardHealth h) {
   switch (h) {
     case ShardHealth::kQuarantined:
@@ -184,6 +165,14 @@ void AppendChunk(QueryResult* acc, QueryResult&& part) {
   acc->stats += part.stats;
 }
 
+Status CheckAdmissionOptions(const ServiceOptions& sopts) {
+  if (sopts.workers < 1) return InvalidArgumentError("workers must be >= 1");
+  if (sopts.max_queue < 1) {
+    return InvalidArgumentError("max_queue must be >= 1");
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 Status ShardUnavailableError(uint32_t shard, double retry_after_ms,
@@ -206,6 +195,7 @@ StatusOr<std::unique_ptr<ShardedService>> ShardedService::Build(
   if (sopts.num_shards < 1) {
     return InvalidArgumentError("num_shards must be >= 1");
   }
+  PMI_RETURN_IF_ERROR(CheckAdmissionOptions(sopts));
   if (data.empty()) return InvalidArgumentError("dataset must be non-empty");
   if (sopts.self_heal && !durable) {
     return InvalidArgumentError(
@@ -290,6 +280,7 @@ StatusOr<std::unique_ptr<ShardedService>> ShardedService::CreateDurable(
 StatusOr<std::unique_ptr<ShardedService>> ShardedService::OpenDurable(
     const std::string& dir, const ServiceOptions& sopts,
     const DurabilityOptions& dopts) {
+  PMI_RETURN_IF_ERROR(CheckAdmissionOptions(sopts));
   Env* env = dopts.env != nullptr ? dopts.env : Env::Default();
   uint32_t num_shards = 0;
   uint32_t objects = 0;
@@ -377,69 +368,82 @@ ShardedService::Deadline ShardedService::ResolveDeadline(
              std::chrono::duration<double, std::milli>(ms));
 }
 
-template <typename T>
-T ShardedService::Submit(const Deadline& deadline, std::function<T()> fn) const {
-  struct Slot {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    std::optional<T> result;
-  };
-  // shared_ptr: during shutdown the drain may complete a task after the
-  // submitter's stack frame would normally be the only owner.
-  auto slot = std::make_shared<Slot>();
-  bool accepted =
-      queue_->TrySubmit([this, deadline, fn = std::move(fn), slot] {
-        std::optional<T> r;
-        if (Expired(deadline)) {
-          deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-          r.emplace(
-              DeadlineExceededError("request deadline expired while queued"));
-        } else {
-          r.emplace(fn());
-        }
-        {
-          std::lock_guard<std::mutex> lock(slot->m);
-          slot->result = std::move(r);
-          slot->done = true;
-        }
-        slot->cv.notify_all();
-      });
-  if (!accepted) {
+template <typename T, typename Fn>
+T ShardedService::Submit(const Deadline& deadline, const Fn& fn) const {
+  if (!queue_->Enter()) {
     return T(ResourceExhaustedError(
         "admission queue full (capacity " + std::to_string(sopts_.max_queue) +
         ") or service shutting down"));
   }
-  std::unique_lock<std::mutex> lock(slot->m);
-  slot->cv.wait(lock, [&] { return slot->done; });
-  return std::move(*slot->result);
+  struct Turn {
+    AdmissionQueue* queue;
+    ~Turn() { queue->Leave(); }
+  } turn{queue_.get()};
+  if (Expired(deadline)) {
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    return T(DeadlineExceededError("request deadline expired while queued"));
+  }
+  return fn();
 }
 
-StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
-                                                   const Deadline& deadline) const {
-  SteadyClock::time_point t0 = SteadyClock::now();
+StatusOr<MetricDB::ReadView> ShardedService::PinShard(uint32_t s) const {
+  SlotView sv = SnapshotSlot(s);
+  if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
+    StatusOr<MetricDB::ReadView> view = sv.db->GetReadView();
+    if (view.ok()) return view;
+    // Only a closed instance refuses a view: it may have been
+    // hot-swapped under us.  If the slot left the healthy state, fall
+    // back to its stale view rather than surfacing the error.
+    sv = SnapshotSlot(s);
+    if (sv.health == ShardHealth::kHealthy) return view.status();
+  }
+  // Quarantined/recovering shards answer from their quarantine-time
+  // view: still one consistent version, just not the freshest.
+  if (sv.stale_view.has_value()) return std::move(*sv.stale_view);
+  return ShardUnavailableError(
+      s, sv.retry_after_ms,
+      std::string(HealthDetail(sv.health)) + ", no stale view");
+}
 
-  // Chunked single-source execution with the deadline budget re-checked
-  // between chunks (see kDeadlineChunkQueries).
-  auto run_chunked =
-      [&](const std::function<StatusOr<QueryResult>(const QueryRequest&)>& run)
+StatusOr<std::vector<MetricDB::ReadView>> ShardedService::PinShards() const {
+  std::vector<MetricDB::ReadView> views;
+  views.reserve(slots_.size());
+  for (uint32_t s = 0; s < slots_.size(); ++s) {
+    PMI_ASSIGN_OR_RETURN(MetricDB::ReadView view, PinShard(s));
+    views.push_back(std::move(view));
+  }
+  return views;
+}
+
+StatusOr<QueryResult> ShardedService::Gather(
+    const ShardRouter& router, const std::vector<MetricDB::ReadView>& views,
+    const QueryRequest& request, const Deadline& deadline,
+    std::atomic<uint64_t>* expired) {
+  SteadyClock::time_point t0 = SteadyClock::now();
+  auto expire = [&](const char* what) {
+    expired->fetch_add(1, std::memory_order_relaxed);
+    return DeadlineExceededError(what);
+  };
+  // Chunked execution with the deadline budget re-checked between
+  // chunks (see kDeadlineChunkQueries).
+  auto run_chunked = [&](const MetricDB::ReadView& view)
       -> StatusOr<QueryResult> {
     if (!deadline.has_value() ||
         request.batch.size() <= kDeadlineChunkQueries) {
-      return run(request);
+      return view.Query(request);
     }
     QueryResult acc;
     for (size_t begin = 0; begin < request.batch.size();
          begin += kDeadlineChunkQueries) {
       if (Expired(deadline)) {
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        return DeadlineExceededError(
+        return expire(
             "request deadline expired mid-shard (deadline budget "
             "propagates into per-shard chunks)");
       }
       const size_t count =
           std::min(kDeadlineChunkQueries, request.batch.size() - begin);
-      StatusOr<QueryResult> part = run(SliceRequest(request, begin, count));
+      StatusOr<QueryResult> part =
+          view.Query(SliceRequest(request, begin, count));
       if (!part.ok()) return part.status();
       AppendChunk(&acc, std::move(*part));
     }
@@ -447,40 +451,16 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
   };
 
   std::vector<QueryResult> per_shard;
-  per_shard.reserve(slots_.size());
-  for (uint32_t s = 0; s < slots_.size(); ++s) {
+  per_shard.reserve(views.size());
+  for (const MetricDB::ReadView& view : views) {
     if (Expired(deadline)) {
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      return DeadlineExceededError("request deadline expired mid-gather");
+      return expire("request deadline expired mid-gather");
     }
-    SlotView sv = SnapshotSlot(s);
-    StatusOr<QueryResult> r = [&]() -> StatusOr<QueryResult> {
-      if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
-        // Healthy shards answer at a pinned version.
-        StatusOr<MetricDB::ReadView> view = sv.db->GetReadView();
-        if (view.ok()) {
-          return run_chunked(
-              [&](const QueryRequest& q) { return view->Query(q); });
-        }
-        // Only a closed instance refuses a view: it may have been
-        // hot-swapped under us.  If the slot left the healthy state,
-        // fall back to its stale view rather than surfacing the error.
-        sv = SnapshotSlot(s);
-        if (sv.health == ShardHealth::kHealthy) return view.status();
-      }
-      if (sv.stale_view.has_value()) {
-        return run_chunked(
-            [&](const QueryRequest& q) { return sv.stale_view->Query(q); });
-      }
-      return ShardUnavailableError(
-          s, sv.retry_after_ms,
-          std::string(HealthDetail(sv.health)) + ", no stale view");
-    }();
+    StatusOr<QueryResult> r = run_chunked(view);
     if (!r.ok()) return r.status();
     per_shard.push_back(std::move(*r));
   }
-  QueryResult merged =
-      MergeShardResults(*router_, request, std::move(per_shard));
+  QueryResult merged = MergeShardResults(router, request, std::move(per_shard));
   merged.stats.seconds = SecondsSince(t0);
   return merged;
 }
@@ -488,10 +468,6 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
 StatusOr<ApplyResult> ShardedService::ExecuteApply(
     const std::vector<UpdateOp>& ops, const RequestOptions& opts,
     const Deadline& deadline) {
-  if (Expired(deadline)) {
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    return DeadlineExceededError("request deadline expired while queued");
-  }
   // Route to owning shards, rewriting to local ids; op order within a
   // shard follows batch order, so per-shard liveness validation sees
   // the same sequence an unsharded Apply would.
@@ -553,10 +529,12 @@ StatusOr<QueryResult> ShardedService::Query(const QueryRequest& request,
   if (closed_.load(std::memory_order_acquire)) {
     return FailedPreconditionError("service is closed");
   }
-  Deadline deadline = ResolveDeadline(opts);
+  const Deadline deadline = ResolveDeadline(opts);
   return Submit<StatusOr<QueryResult>>(
-      deadline, [this, &request, deadline] {
-        return ExecuteQuery(request, deadline);
+      deadline, [&]() -> StatusOr<QueryResult> {
+        PMI_ASSIGN_OR_RETURN(std::vector<MetricDB::ReadView> views,
+                             PinShards());
+        return Gather(*router_, views, request, deadline, &deadline_expired_);
       });
 }
 
@@ -572,10 +550,9 @@ StatusOr<ApplyResult> ShardedService::Apply(const std::vector<UpdateOp>& ops,
                                   std::to_string(router_->size()) + ")");
     }
   }
-  Deadline deadline = ResolveDeadline(opts);
-  return Submit<StatusOr<ApplyResult>>(deadline, [this, &ops, &opts, deadline] {
-    return ExecuteApply(ops, opts, deadline);
-  });
+  const Deadline deadline = ResolveDeadline(opts);
+  return Submit<StatusOr<ApplyResult>>(
+      deadline, [&] { return ExecuteApply(ops, opts, deadline); });
 }
 
 Status ShardedService::Insert(ObjectId id) {
@@ -610,24 +587,7 @@ StatusOr<ShardedService::ReadView> ShardedService::GetReadView() const {
   if (closed_.load(std::memory_order_acquire)) {
     return FailedPreconditionError("service is closed");
   }
-  std::vector<MetricDB::ReadView> views;
-  views.reserve(slots_.size());
-  for (uint32_t s = 0; s < slots_.size(); ++s) {
-    SlotView sv = SnapshotSlot(s);
-    if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
-      StatusOr<MetricDB::ReadView> view = sv.db->GetReadView();
-      if (!view.ok()) return view.status();
-      views.push_back(std::move(*view));
-    } else if (sv.stale_view.has_value()) {
-      // Quarantined/recovering shards pin their quarantine-time view:
-      // still one consistent version, just not the freshest.
-      views.push_back(*sv.stale_view);
-    } else {
-      return ShardUnavailableError(
-          s, sv.retry_after_ms,
-          std::string(HealthDetail(sv.health)) + ", no stale view");
-    }
-  }
+  PMI_ASSIGN_OR_RETURN(std::vector<MetricDB::ReadView> views, PinShards());
   return ReadView(router_, std::move(views));
 }
 
@@ -645,7 +605,8 @@ bool ShardedService::ReadView::alive(ObjectId id) const {
 
 StatusOr<QueryResult> ShardedService::ReadView::Query(
     const QueryRequest& request) const {
-  return GatherAtViews(*router_, shards_, request);
+  return Gather(*router_, shards_, request, /*deadline=*/std::nullopt,
+                /*expired=*/nullptr);
 }
 
 // -- self-healing -------------------------------------------------------------
@@ -702,26 +663,16 @@ bool ShardedService::alive(ObjectId id) const {
   if (id >= router_->size()) return false;
   const uint32_t s = router_->shard_of(id);
   const ObjectId local = router_->local_of(id);
-  SlotView sv = SnapshotSlot(s);
-  if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
-    return sv.db->alive(local);
-  }
-  if (sv.stale_view.has_value()) return sv.stale_view->alive(local);
-  return false;
+  StatusOr<MetricDB::ReadView> view = PinShard(s);
+  return view.ok() && view->alive(local);
 }
 
 std::vector<uint64_t> ShardedService::sequences() const {
   std::vector<uint64_t> out;
   out.reserve(slots_.size());
   for (uint32_t s = 0; s < slots_.size(); ++s) {
-    SlotView sv = SnapshotSlot(s);
-    if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
-      out.push_back(sv.db->last_sequence());
-    } else if (sv.stale_view.has_value()) {
-      out.push_back(sv.stale_view->sequence());
-    } else {
-      out.push_back(0);
-    }
+    StatusOr<MetricDB::ReadView> view = PinShard(s);
+    out.push_back(view.ok() ? view->sequence() : 0);
   }
   return out;
 }

@@ -6,20 +6,22 @@
 // in durable mode -- its own WAL/checkpoint directory, so N shards give
 // N concurrent writer streams where one MetricDB gives one.
 //
-// Request path: every Query/Apply is admitted through a bounded queue +
-// worker pool (src/service/admission.h).  A full queue is typed
-// backpressure -- kResourceExhausted, never unbounded queueing -- and a
-// per-request deadline turns stragglers into typed kDeadlineExceeded.
+// Request path: every Query/Apply passes a bounded FIFO admission gate
+// (src/service/admission.h) and then runs on the calling thread.  A
+// full wait line is typed backpressure -- kResourceExhausted, never
+// unbounded queueing -- and a per-request deadline turns stragglers
+// into typed kDeadlineExceeded.
 // The deadline budget is propagated INTO per-shard work: queries are
 // executed in bounded chunks with the budget re-checked between chunks
 // (chunking is bit-identical by the batch split-invariance guarantee),
 // and Apply re-checks before each shard's sub-commit, so a request
 // cannot overrun its deadline inside a slow shard.
 //
-// Reads scatter/gather: the worker pins a ReadView per shard
-// (MetricDB::GetReadView, a shared_ptr copy under a short mutex), runs the block-major batch engine inside each shard, and
-// merges -- union for MRQ, a k-way merge with (distance, id) tie-break
-// for MkNN -- so results are bit-identical to an unsharded MetricDB
+// Reads scatter/gather: the caller pins a ReadView per shard
+// (MetricDB::GetReadView, a shared_ptr copy under a short mutex), runs
+// the batch engine inside each shard in shard order, and merges --
+// union for MRQ, a k-way merge with (distance, id) tie-break for MkNN
+// -- so results are bit-identical to an unsharded MetricDB
 // holding the same data (see result_merger.h for why).
 //
 // Self-healing: each shard lives in a hot-swappable slot
@@ -67,10 +69,10 @@ struct ServiceOptions {
   /// Independent MetricDB shards (>= 1).  Every shard must own at least
   /// one object, so num_shards cannot exceed the dataset size.
   uint32_t num_shards = 4;
-  /// Admission worker threads draining the request queue (>= 1).
+  /// Requests running at once (>= 1); each runs on its caller's thread.
   uint32_t workers = 4;
-  /// Bounded request queue capacity (>= 1); a submit beyond it returns
-  /// kResourceExhausted.
+  /// Requests that may wait for a turn (>= 1); a submit beyond it
+  /// returns kResourceExhausted.
   uint32_t max_queue = 64;
   /// Default per-request deadline in milliseconds; negative = none.
   double default_deadline_ms = -1;
@@ -158,16 +160,17 @@ class ShardedService {
       const DurabilityOptions& dopts = {});
 
   /// Shuts the service down: stops the supervisor, refuses new
-  /// requests, drains the admission queue, joins the workers, closes
-  /// every shard.  Idempotent; returns the first shard Close error.
+  /// requests, waits for admitted requests (running or waiting) to
+  /// finish, closes every shard.  Idempotent; returns the first shard
+  /// Close error.
   Status Close();
 
   ~ShardedService();
   ShardedService(const ShardedService&) = delete;
   ShardedService& operator=(const ShardedService&) = delete;
 
-  /// Answers `request` through admission + scatter/gather.  Blocks the
-  /// calling thread until the request completes (or is refused).
+  /// Answers `request` through admission + scatter/gather, on the
+  /// calling thread.
   /// Errors: kResourceExhausted (queue full), kDeadlineExceeded,
   /// kFailedPrecondition (closed), kUnavailable (a shard is under
   /// recovery with no stale view), plus anything a shard query returns.
@@ -208,8 +211,9 @@ class ShardedService {
     /// Liveness of global `id` at its shard's pinned version.
     bool alive(ObjectId id) const;
 
-    /// Scatter/gather against the pinned versions -- same merge (and
-    /// same oracle equivalence) as ShardedService::Query.
+    /// Scatter/gather against the pinned versions -- the same gather
+    /// (and oracle equivalence) as ShardedService::Query, without a
+    /// deadline.
     StatusOr<QueryResult> Query(const QueryRequest& request) const;
 
    private:
@@ -299,14 +303,27 @@ class ShardedService {
     return d.has_value() && std::chrono::steady_clock::now() >= *d;
   }
 
-  /// Runs `fn` through the admission queue and blocks for its result.
-  /// `fn` runs on a worker unless the queue refuses.  T is the
-  /// StatusOr result type.
-  template <typename T>
-  T Submit(const Deadline& deadline, std::function<T()> fn) const;
+  /// Runs `fn` on the calling thread once the admission gate lets it
+  /// in; a refusal or a deadline that passed while waiting returns the
+  /// typed error without running `fn`.  T is the StatusOr result type.
+  template <typename T, typename Fn>
+  T Submit(const Deadline& deadline, const Fn& fn) const;
 
-  StatusOr<QueryResult> ExecuteQuery(const QueryRequest& request,
-                                     const Deadline& deadline) const;
+  /// Pins shard `s` for a read: a fresh view while the shard is
+  /// healthy, else its stale quarantine-time view, else typed
+  /// kUnavailable.
+  StatusOr<MetricDB::ReadView> PinShard(uint32_t s) const;
+  /// PinShard for every shard, in shard order.
+  StatusOr<std::vector<MetricDB::ReadView>> PinShards() const;
+
+  /// The scatter/gather behind Query and ReadView::Query: queries each
+  /// pinned view in shard order -- in bounded chunks when `deadline` is
+  /// set, re-checking it between shards and chunks and counting an
+  /// expiry in `*expired` -- and merges.
+  static StatusOr<QueryResult> Gather(
+      const ShardRouter& router, const std::vector<MetricDB::ReadView>& views,
+      const QueryRequest& request, const Deadline& deadline,
+      std::atomic<uint64_t>* expired);
   StatusOr<ApplyResult> ExecuteApply(const std::vector<UpdateOp>& ops,
                                      const RequestOptions& opts,
                                      const Deadline& deadline);

@@ -87,11 +87,6 @@ void ShardSupervisor::PollOnce() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.health_checks;
-    // Admission depth is a health INPUT (an overloaded service is worth
-    // seeing next to shard faults), not a quarantine trigger: queue
-    // pressure already degrades gracefully through kResourceExhausted.
-    const uint32_t depth = service_->queue_->stats().depth;
-    if (depth > stats_.peak_queue_depth) stats_.peak_queue_depth = depth;
   }
 
   const SteadyClock::time_point now = SteadyClock::now();

@@ -3,15 +3,15 @@
 // A MetricDB shard that hits a write-path I/O fault goes sticky
 // read-only (write_status() non-OK) and, before this supervisor
 // existed, stayed that way forever.  The supervisor closes the loop:
-// a background thread health-checks every shard (sticky write status
-// plus admission-queue depth as a load signal), quarantines a faulted
-// shard, and recovers it IN PLACE from its own WAL/checkpoint chain --
-// close the faulted instance (releasing the directory LOCK), run
-// MetricDB::OpenDurable on the shard directory, and atomically hot-swap
-// the fresh instance into the shard slot.  Healthy shards are never
-// touched, so their in-flight ReadViews stay valid; the victim keeps
-// serving reads from a stale pinned view captured at quarantine time
-// (MetricDB ReadViews co-own their version and outlive the facade).
+// a background thread health-checks every shard's sticky write status,
+// quarantines a faulted shard, and recovers it IN PLACE from its own
+// WAL/checkpoint chain -- close the faulted instance (releasing the
+// directory LOCK), run MetricDB::OpenDurable on the shard directory,
+// and atomically hot-swap the fresh instance into the shard slot.
+// Healthy shards are never touched, so their in-flight ReadViews stay
+// valid; the victim keeps serving reads from a stale pinned view
+// captured at quarantine time (MetricDB ReadViews co-own their version
+// and outlive the facade).
 //
 // Shard lifecycle (see also README "Self-healing & retries"):
 //
@@ -105,7 +105,6 @@ class ShardSupervisor {
     uint64_t failed_attempts = 0;  ///< OpenDurable attempts that failed
     uint64_t breaker_trips = 0;    ///< quarantined -> pinned edges
     double last_recovery_ms = 0;   ///< fault detection -> healthy swap
-    uint32_t peak_queue_depth = 0; ///< admission depth high-water seen
   };
 
   /// `service` owns this supervisor and must outlive it; Start() spawns

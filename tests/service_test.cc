@@ -12,7 +12,9 @@
 //
 // Also covered: admission control (queue full => typed
 // kResourceExhausted, no deadlock, service keeps serving after the
-// burst; deadline 0 => typed kDeadlineExceeded), per-shard write-fault
+// burst; deadline 0 or a deadline passed while waiting => typed
+// kDeadlineExceeded without running; Close waits for admitted requests;
+// zero workers or max_queue => kInvalidArgument), per-shard write-fault
 // degradation (one shard read-only, others unaffected), and the durable
 // round trip (SERVICE meta + per-shard dirs reopen to the same state).
 //
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,6 +331,15 @@ QueryRequest HeavyRequest(const Dataset& data) {
   return QueryRequest::KnnBatch(std::move(queries), size_t{16});
 }
 
+/// Polls `pred` for up to ~2 s; returns its final value.
+template <typename Pred>
+bool WaitUntil(Pred pred) {
+  for (int spin = 0; spin < 20000 && !pred(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return pred();
+}
+
 TEST(AdmissionTest, QueueFullReturnsResourceExhaustedAndRecovers) {
   std::unique_ptr<ShardedService> svc = MakeAdmissionService(/*workers=*/1,
                                                              /*max_queue=*/1);
@@ -429,6 +441,107 @@ TEST(AdmissionTest, ExpiredDeadlineIsTyped) {
   StatusOr<QueryResult> q2 = svc->Query(QueryRequest::Knn(qbd.data.view(0), 3));
   ASSERT_TRUE(q2.ok()) << q2.status().ToString();
   EXPECT_TRUE(svc->alive(0));
+}
+
+TEST(AdmissionTest, DeadlinePassedWhileWaitingFailsFastOnItsTurn) {
+  std::unique_ptr<ShardedService> svc = MakeAdmissionService(/*workers=*/1,
+                                                             /*max_queue=*/4);
+  ASSERT_NE(svc, nullptr);
+  BenchDataset qbd = MakeBenchDataset(BenchDatasetId::kSynthetic, 4096, 99);
+  const QueryRequest heavy = HeavyRequest(qbd.data);
+  RequestOptions short_deadline;
+  short_deadline.deadline_ms = 1;
+
+  // Valid attempts only: the short request must still be waiting behind
+  // the blocker after its deadline passed.
+  bool waited_past_deadline = false;
+  for (int attempt = 0; attempt < 8 && !waited_past_deadline; ++attempt) {
+    const uint64_t expired_before = svc->stats().deadline_expired;
+    std::thread blocker([&] { ASSERT_TRUE(svc->Query(heavy).ok()); });
+    ASSERT_TRUE(WaitUntil(
+        [&] { return svc->stats().admission.in_flight >= 1; }));
+    std::optional<StatusOr<QueryResult>> waiter;
+    std::thread waiting([&] {
+      waiter = svc->Query(QueryRequest::Knn(qbd.data.view(0), 3),
+                          short_deadline);
+    });
+    if (WaitUntil([&] { return svc->stats().admission.depth >= 1; })) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      const AdmissionQueue::Stats st = svc->stats().admission;
+      waited_past_deadline = st.in_flight == 1 && st.depth == 1;
+    }
+    blocker.join();
+    waiting.join();
+    if (!waited_past_deadline) continue;
+    ASSERT_TRUE(waiter.has_value());
+    ASSERT_FALSE(waiter->ok()) << "ran although its deadline had passed";
+    EXPECT_EQ(waiter->status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(waiter->status().message(),
+              "request deadline expired while queued");
+    EXPECT_GT(svc->stats().deadline_expired, expired_before);
+  }
+  EXPECT_TRUE(waited_past_deadline)
+      << "the blocker never outlasted the waiting request's deadline";
+}
+
+TEST(AdmissionTest, CloseWaitsForRunningAndWaitingRequests) {
+  BenchDataset qbd = MakeBenchDataset(BenchDatasetId::kSynthetic, 4096, 99);
+  const QueryRequest heavy = HeavyRequest(qbd.data);
+
+  bool closed_with_both = false;
+  for (int attempt = 0; attempt < 8 && !closed_with_both; ++attempt) {
+    std::unique_ptr<ShardedService> svc =
+        MakeAdmissionService(/*workers=*/1, /*max_queue=*/4);
+    ASSERT_NE(svc, nullptr);
+    std::optional<StatusOr<QueryResult>> running;
+    std::optional<StatusOr<QueryResult>> waiting;
+    std::thread first([&] { running = svc->Query(heavy); });
+    ASSERT_TRUE(WaitUntil(
+        [&] { return svc->stats().admission.in_flight >= 1; }));
+    std::thread second([&] { waiting = svc->Query(heavy); });
+    closed_with_both =
+        WaitUntil([&] { return svc->stats().admission.depth >= 1; });
+    if (closed_with_both) {
+      ASSERT_TRUE(svc->Close().ok());
+      const AdmissionQueue::Stats st = svc->stats().admission;
+      EXPECT_EQ(st.in_flight, 0u);
+      EXPECT_EQ(st.depth, 0u);
+      EXPECT_EQ(st.executed, 2u) << "Close returned before both finished";
+    }
+    first.join();
+    second.join();
+    if (!closed_with_both) continue;
+    ASSERT_TRUE(running.has_value() && waiting.has_value());
+    EXPECT_TRUE(running->ok()) << running->status().ToString();
+    EXPECT_TRUE(waiting->ok()) << waiting->status().ToString();
+
+    StatusOr<QueryResult> after =
+        svc->Query(QueryRequest::Knn(qbd.data.view(0), 3));
+    ASSERT_FALSE(after.ok());
+    EXPECT_EQ(after.status().code(), StatusCode::kFailedPrecondition)
+        << after.status().ToString();
+  }
+  EXPECT_TRUE(closed_with_both)
+      << "the second request never waited behind the first";
+}
+
+TEST(AdmissionTest, ZeroWorkersOrMaxQueueIsInvalidArgument) {
+  BenchDataset bd = MakeBenchDataset(BenchDatasetId::kSynthetic, 64, 5);
+  const MetricDBConfig config =
+      MetricDBConfig().WithMetric("Linf").WithIndex("LinearScan");
+  for (bool zero_workers : {true, false}) {
+    ServiceOptions sopts;
+    sopts.num_shards = 2;
+    (zero_workers ? sopts.workers : sopts.max_queue) = 0;
+    auto created = ShardedService::Create(config, bd.data, sopts);
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << created.status().ToString();
+    auto opened = ShardedService::OpenDurable(NewDir("never_created"), sopts);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+        << opened.status().ToString();
+  }
 }
 
 // -- per-shard degradation ----------------------------------------------------
