@@ -4,7 +4,8 @@
 //
 //   table_scan   row-major PrunedByPivots loop  vs  shipping PivotTable
 //   simd_filter  PR-3 f64 columnar filter       vs  f32 SIMD filter,
-//                per dispatch level, with filter selectivity and
+//                per dispatch level and table layout (shared pivots;
+//                EPT*'s per-row pivots), with filter selectivity and
 //                bytes-touched-per-row so bandwidth wins are separable
 //                from compute wins
 //   kernel       full Distance                  vs  BoundedDistance
@@ -42,6 +43,7 @@
 #include "src/data/distribution.h"
 #include "src/data/generators.h"
 #include "src/harness/workload.h"
+#include "src/tables/ept.h"
 #include "src/tables/laesa.h"
 
 namespace pmi {
@@ -99,25 +101,43 @@ struct RowMajorLaesa {
 /// The PR-3 columnar filter, verbatim: blocked double-column MaskSweep +
 /// Compact + Refine.  Frozen here as the baseline the f32 SIMD engine is
 /// measured against ("filter-throughput improvement over the PR 3
-/// baseline").
+/// baseline").  Built from a PivotTable; on a per-row-pivot table it
+/// keeps the pool-index columns too and looks each row's query value up
+/// through them, the same gather the shipping kernels make.
 struct F64ColumnarRef {
   uint32_t l = 0;
   std::vector<std::vector<double>> cols;
+  std::vector<std::vector<uint32_t>> idx;  // per-row-pivot tables only
 
-  void Build(const std::vector<double>& row_major, uint32_t width) {
-    l = width;
-    cols.assign(width, {});
-    const size_t n = width == 0 ? 0 : row_major.size() / width;
-    for (uint32_t p = 0; p < width; ++p) {
-      cols[p].resize(n);
-      for (size_t i = 0; i < n; ++i) cols[p][i] = row_major[i * width + p];
+  void Build(const PivotTable& t) {
+    l = t.width();
+    cols.assign(l, std::vector<double>(t.rows()));
+    idx.assign(t.per_row_pivots() ? l : 0, std::vector<uint32_t>(t.rows()));
+    for (uint32_t p = 0; p < l; ++p) {
+      for (size_t i = 0; i < t.rows(); ++i) {
+        cols[p][i] = t.distance(i, p);
+        if (!idx.empty()) idx[p][i] = t.pivot_index(i, p);
+      }
     }
   }
 
   size_t rows() const { return l == 0 ? 0 : cols[0].size(); }
 
-  void RangeScan(const double* phi_q, double r,
+  void RangeScan(const std::vector<double>& q, double r,
                  std::vector<uint32_t>* survivors) const {
+    const double* qd = q.data();
+    if (idx.empty()) {
+      Scan(r, survivors, [qd](uint32_t p, size_t) { return qd[p]; });
+    } else {
+      Scan(r, survivors,
+           [&, qd](uint32_t p, size_t row) { return qd[idx[p][row]]; });
+    }
+  }
+
+  // qv(p, row): the query value row `row` is compared with on slot p.
+  template <typename QueryValue>
+  void Scan(double r, std::vector<uint32_t>* survivors,
+            QueryValue&& qv) const {
     constexpr size_t kBlock = 256;
     uint8_t keep[kBlock];
     uint32_t surv[kBlock];
@@ -126,7 +146,7 @@ struct F64ColumnarRef {
       const size_t count = std::min<size_t>(kBlock, n_rows - base);
       const double* __restrict c0 = cols[0].data() + base;
       for (size_t i = 0; i < count; ++i) {
-        keep[i] = std::fabs(c0[i] - phi_q[0]) <= r;
+        keep[i] = std::fabs(c0[i] - qv(0, base + i)) <= r;
       }
       size_t n = 0;
       for (size_t i = 0; i < count; ++i) {
@@ -139,7 +159,7 @@ struct F64ColumnarRef {
         for (size_t j = 0; j < n; ++j) {
           const uint32_t i = surv[j];
           surv[m] = i;
-          m += std::fabs(c[i] - phi_q[p]) <= r;
+          m += std::fabs(c[i] - qv(p, base + i)) <= r;
         }
         n = m;
       }
@@ -159,7 +179,8 @@ struct FilterTraffic {
 
 // `sweep_cell_bytes` is what the contiguous sweep/AND stages read per
 // cell: 4 on the vector levels (f32 filter columns), 8 on the scalar
-// level (it works the double columns directly).
+// level (it works the double columns directly).  A per-row-pivot table
+// also reads a 4-byte pool index per cell it tests.
 FilterTraffic MeasureTraffic(const PivotTable& t,
                              const std::vector<std::vector<double>>& phis,
                              double r, unsigned dense_divisor,
@@ -168,10 +189,15 @@ FilterTraffic MeasureTraffic(const PivotTable& t,
   const uint32_t l = t.width();
   const size_t rows = t.rows();
   if (l == 0 || rows == 0 || phis.empty()) return ft;
+  const size_t idx_bytes = t.per_row_pivots() ? sizeof(uint32_t) : 0;
+  sweep_cell_bytes += idx_bytes;
   uint64_t bytes = 0, survivors = 0;
   constexpr size_t kBlock = PivotTable::kScanBlock;
   std::vector<uint32_t> surv;
   for (const auto& phi : phis) {
+    auto q = [&](uint32_t p, size_t row) {
+      return t.per_row_pivots() ? phi[t.pivot_index(row, p)] : phi[p];
+    };
     for (size_t base = 0; base < rows; base += kBlock) {
       const size_t count = std::min<size_t>(kBlock, rows - base);
       // Replays the engine's adaptive cascade byte-for-byte: f32 mask
@@ -182,7 +208,7 @@ FilterTraffic MeasureTraffic(const PivotTable& t,
       const double* c0 = t.block_column(0, base);
       bytes += count * sweep_cell_bytes;  // slot-0 sweep
       for (size_t i = 0; i < count; ++i) {
-        if (std::fabs(c0[i] - phi[0]) <= r) {
+        if (std::fabs(c0[i] - q(0, base + i)) <= r) {
           surv.push_back(static_cast<uint32_t>(i));
         }
       }
@@ -195,17 +221,17 @@ FilterTraffic MeasureTraffic(const PivotTable& t,
         size_t m = 0;
         for (uint32_t i : surv) {
           surv[m] = i;
-          m += std::fabs(c[i] - phi[p]) <= r;
+          m += std::fabs(c[i] - q(p, base + i)) <= r;
         }
         surv.resize(m);
       }
       for (; p < l && !surv.empty(); ++p) {
-        bytes += surv.size() * sizeof(double);  // sparse: f64 survivors
+        bytes += surv.size() * (sizeof(double) + idx_bytes);  // sparse
         const double* c = t.block_column(p, base);
         size_t m = 0;
         for (uint32_t i : surv) {
           surv[m] = i;
-          m += std::fabs(c[i] - phi[p]) <= r;
+          m += std::fabs(c[i] - q(p, base + i)) <= r;
         }
         surv.resize(m);
       }
@@ -327,7 +353,7 @@ int main() {
         columnar_survivors = 0;
         for (const auto& pq : query_phis) {
           surv.clear();
-          columnar.RangeScan(pq.data(), r, &surv);
+          columnar.RangeScan(pq, r, &surv);
           columnar_survivors += surv.size();
         }
       });
@@ -355,75 +381,95 @@ int main() {
   {
     const char* prev_env = std::getenv("PMI_SIMD");
     const std::string saved = prev_env ? prev_env : "";
-    // Two vector workloads: the paper's default pivot count and a wide
-    // table (more refine stages -- where the lane-parallel mask path
-    // pulls furthest ahead of the per-survivor cascade).
-    for (uint32_t num_pivots : {l, 16u}) {
-      PivotSet wl_pivots =
-          num_pivots == l
-              ? pivots
-              : SelectSharedPivots(bd.data, *bd.metric, num_pivots, po);
-      PivotTable wl_table;
-      wl_table.Reset(wl_pivots.size());
-      F64ColumnarRef f64;
-      std::vector<std::vector<double>> wl_phis;
-      {
-        PerfCounters scratch;
-        DistanceComputer d(bd.metric.get(), &scratch);
-        std::vector<double> phi;
-        std::vector<double> row_major;
+    // Three workloads: over shared pivots, the paper's default pivot
+    // count and a wide table (more refine stages -- where the
+    // lane-parallel mask path pulls furthest ahead of the per-survivor
+    // cascade); and EPT*'s per-row-pivot table at the default count, which
+    // runs the gather kernels (each row's query value is looked up
+    // through its pool-index column).
+    struct Workload {
+      const char* layout;
+      PivotTable table;
+      std::vector<std::vector<double>> qs;
+    };
+    std::vector<Workload> workloads;
+    {
+      PerfCounters scratch;
+      DistanceComputer d(bd.metric.get(), &scratch);
+      std::vector<double> v;
+      for (uint32_t num_pivots : {l, 16u}) {
+        PivotSet wl_pivots =
+            num_pivots == l
+                ? pivots
+                : SelectSharedPivots(bd.data, *bd.metric, num_pivots, po);
+        Workload wl{"shared", {}, {}};
+        wl.table.Reset(wl_pivots.size());
         for (ObjectId id = 0; id < bd.data.size(); ++id) {
-          wl_pivots.Map(bd.data.view(id), d, &phi);
-          row_major.insert(row_major.end(), phi.begin(), phi.end());
-          wl_table.AppendRow(phi.data());
+          wl_pivots.Map(bd.data.view(id), d, &v);
+          wl.table.AppendRow(v.data());
         }
-        f64.Build(row_major, wl_pivots.size());
         for (ObjectId q : queries) {
-          wl_pivots.Map(bd.data.view(q), d, &phi);
-          wl_phis.push_back(phi);
+          wl_pivots.Map(bd.data.view(q), d, &v);
+          wl.qs.push_back(v);
         }
+        workloads.push_back(std::move(wl));
       }
+      Ept ept_star(Ept::Variant::kStar);
+      ept_star.Build(bd.data, *bd.metric, pivots);
+      Workload wl{"per_row", ept_star.table(), {}};
+      for (ObjectId q : queries) {
+        ept_star.MapQuery(bd.data.view(q), d, &v);
+        wl.qs.push_back(v);
+      }
+      workloads.push_back(std::move(wl));
+    }
+    for (const Workload& wl : workloads) {
+      F64ColumnarRef f64;
+      f64.Build(wl.table);
       for (double selectivity : {0.002, 0.01, 0.05}) {
         const double r = distribution.RadiusForSelectivity(selectivity);
         std::vector<uint32_t> surv;
         size_t f64_survivors = 0;
         const double f64_ms = timer.BestOfMs(repeats, [&] {
           f64_survivors = 0;
-          for (const auto& pq : wl_phis) {
+          for (const auto& pq : wl.qs) {
             surv.clear();
-            f64.RangeScan(pq.data(), r, &surv);
+            f64.RangeScan(pq, r, &surv);
             f64_survivors += surv.size();
           }
         });
         for (SimdLevel level : SupportedSimdLevels()) {
           setenv("PMI_SIMD", SimdLevelName(level), 1);
           ReinitSimdDispatch();
+          const SimdOps& ops = SimdDispatch();
           const FilterTraffic traffic = MeasureTraffic(
-              wl_table, wl_phis, r, SimdDispatch().dense_divisor,
-              SimdDispatch().level == SimdLevel::kScalar ? sizeof(double)
+              wl.table, wl.qs, r,
+              wl.table.per_row_pivots() ? ops.dense_divisor_gather
+                                        : ops.dense_divisor,
+              ops.level == SimdLevel::kScalar ? sizeof(double)
                                                          : sizeof(float));
           size_t level_survivors = 0;
           const double level_ms = timer.BestOfMs(repeats, [&] {
             level_survivors = 0;
-            for (const auto& pq : wl_phis) {
+            for (const auto& pq : wl.qs) {
               surv.clear();
-              wl_table.RangeScan(pq.data(), r, &surv);
+              wl.table.RangeScan(pq, r, &surv);
               level_survivors += surv.size();
             }
           });
           simd_levels_match &= level_survivors == f64_survivors;
           const double speedup = level_ms > 0 ? f64_ms / level_ms : 0;
           const double rows_per_sec =
-              level_ms > 0 ? double(wl_table.rows()) * wl_phis.size() /
+              level_ms > 0 ? double(wl.table.rows()) * wl.qs.size() /
                                  (level_ms / 1e3)
                            : 0;
           simd_best_speedup = std::max(simd_best_speedup, speedup);
           char extra[420];
           std::snprintf(
               extra, sizeof(extra),
-              "\"level\": \"%s\", \"pivots\": %u, \"selectivity\": %g, %s, "
-              "%s, %s, %s, %s, %s",
-              SimdLevelName(level), wl_pivots.size(), selectivity,
+              "\"level\": \"%s\", \"layout\": \"%s\", \"pivots\": %u, "
+              "\"selectivity\": %g, %s, %s, %s, %s, %s, %s",
+              SimdLevelName(level), wl.layout, wl.table.width(), selectivity,
               Num("f64_ms", f64_ms).c_str(), Num("ms", level_ms).c_str(),
               Num("speedup_vs_f64", speedup).c_str(),
               Num("rows_per_sec", rows_per_sec).c_str(),

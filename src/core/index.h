@@ -29,7 +29,6 @@
 #include "src/core/object.h"
 #include "src/core/pivots.h"
 #include "src/core/serialize.h"
-#include "src/core/simd.h"
 #include "src/core/status.h"
 #include "src/core/thread_pool.h"
 #include "src/storage/buffer_pool.h"
@@ -378,25 +377,6 @@ class MetricIndex {
     return s;
   }
 };
-
-/// Batched MRQ verification for the scan tables: walks the filter's
-/// compacted candidate rows with a fixed prefetch lookahead so the
-/// survivors' object payloads are in flight while BoundedDistance chews
-/// on the current one, appending ids whose distance is within `r`.
-inline void VerifyCandidatesWithPrefetch(
-    const std::vector<uint32_t>& candidates,
-    const std::vector<ObjectId>& oids, const Dataset& data,
-    const DistanceComputer& d, const ObjectView& q, double r,
-    std::vector<ObjectId>* out) {
-  constexpr size_t kLookahead = 8;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (i + kLookahead < candidates.size()) {
-      PrefetchRead(data.view(oids[candidates[i + kLookahead]]).payload_ptr());
-    }
-    const ObjectId id = oids[candidates[i]];
-    if (d.Bounded(q, data.view(id), r) <= r) out->push_back(id);
-  }
-}
 
 }  // namespace pmi
 

@@ -1,4 +1,4 @@
-// Columnar pivot-distance table -- the scan substrate of the flat
+// Columnar pivot-distance table -- the one scan engine of the flat
 // table-based indexes (LAESA, EPT/EPT*, CPT's in-memory half).
 //
 // The paper's cost model makes the n x l table scan the dominant CPU term
@@ -15,43 +15,40 @@
 // [slot * kScanBlock, (slot + 1) * kScanBlock).  Blocks are held by
 // shared_ptr and copied lazily: copying a PivotTable shares every block
 // (O(blocks) pointer copies), and a mutation first deep-copies the one
-// 256-row block it touches (MutableBlock).  This is the copy-on-write
-// substrate of the epoch-versioned concurrency layer: a writer clones an
-// index, mutates a handful of blocks, and publishes, while readers keep
-// scanning the shared, now-frozen blocks of the previous version.
-// Whether this table owns a block is tracked in an explicit owned_
-// bitmap (cleared in BOTH tables by a copy) -- never inferred from
-// use_count(), whose relaxed load cannot order against a concurrent
-// reader's last access.
+// 256-row block it touches (MutableBlock).  This is what makes an index
+// Clone cheap: a writer clones the index, mutates a handful of blocks,
+// and publishes, while readers pinned to the previous version keep
+// scanning its shared, now-frozen blocks.  Whether this table owns a
+// block is tracked in an explicit owned_ bitmap (cleared in BOTH tables
+// by a copy) -- never inferred from use_count(), whose relaxed load
+// cannot order against a concurrent reader's last access.
 //
-// Query engine v2 adds a derived float32 *filter column* per double
+// The filter runs over a derived float32 *filter column* per double
 // column (64-byte-aligned, conservatively comparable -- see
-// src/core/simd.h) and runs the bulk filter over those with the
-// runtime-dispatched SIMD kernels:
+// src/core/simd.h) with the runtime-dispatched SIMD kernels:
 //
 //   1. pivot slot 0 sweeps one contiguous f32 column slab 4-16 lanes at
-//      a time, compacting block-local survivors as it goes;
-//   2. each later pivot slot refines the survivor list against its own
-//      f32 column (short, gather-indexed loops);
-//   3. every float survivor is re-checked against the *double* columns
-//      (RowSurvives*) before it escapes the table.
+//      a time into a block mask;
+//   2. later pivot slots narrow that mask while it is dense, then refine
+//      the compacted survivor list against the double columns;
+//   3. rows the f32 test cannot settle either way fall back to the
+//      double columns inside the kernels.
 //
-// The float filter uses a radius widened by ConservativeFilterRadius, so
-// it keeps a strict superset of the exact double survivors; step 3 then
-// narrows that superset back to exactly the set the pre-v2 double scan
-// produced.  Survivor lists, query results, verification decisions, and
-// compdists are therefore bit-identical to the row-major double loop at
-// every dispatch level -- while the bulk of the scan touches 4 bytes per
-// row instead of 8 and runs 4-16 lanes wide (half the memory traffic,
-// the win bench_micro_scan measures).
+// Every stage makes the exact double-predicate decision per row, so
+// survivor lists, query results, verification decisions, and compdists
+// are bit-identical to the row-major double loop at every dispatch level
+// -- while the bulk of the scan touches 4 bytes per row instead of 8 and
+// runs 4-16 lanes wide (the win bench_micro_scan measures).
 //
-// Two scan forms cover the two table families:
-//   - shared-pivot (LAESA/CPT): column p holds d(o, p_p); the query side
-//     is phi(q) = <d(q,p_1), ..., d(q,p_l)> computed once per query.
-//   - per-row-pivot (EPT/EPT*): column j holds d(o, p_{c_j(o)}) plus a
-//     parallel uint32 column of pool indices c_j(o); the query side
-//     gathers d(q, pool[c]) from a per-query pool mapping of `pool_size`
-//     entries.
+// The table has two layouts, and it resolves which one a scan runs from
+// per_row_pivots(); callers hand every scan the query-side vector of
+// their layout and never pick a kernel family:
+//   - shared pivots (LAESA/CPT): column p holds d(o, p_p); the query
+//     vector is phi(q) = <d(q,p_1), ..., d(q,p_l)>.
+//   - per-row pivots (EPT/EPT*): column j holds d(o, p_{c_j(o)}) plus a
+//     parallel uint32 column of pool indices c_j(o); the query vector
+//     holds d(q, pool[c]) for every pool pivot c, and the gather kernels
+//     look each row's value up through the index column.
 
 #ifndef PMI_CORE_PIVOT_TABLE_H_
 #define PMI_CORE_PIVOT_TABLE_H_
@@ -277,130 +274,93 @@ class PivotTable {
     return shared;
   }
 
-  /// Shared-pivot range scan: appends every row index whose mapped vector
-  /// intersects the Lemma-1 search region (|phi_o[p] - phi_q[p]| <= r for
-  /// all p) to `survivors`, in ascending row order.  Decisions are made
-  /// on the double columns (the f32 filter only pre-narrows), so the
-  /// output is bit-identical at every SIMD dispatch level.
-  void RangeScan(const double* phi_q, double r,
-                 std::vector<uint32_t>* survivors) const;
+  /// Every scan takes the query-side vector `q` in the table's own
+  /// layout: phi(q) = <d(q,p_1), ..., d(q,p_l)> (width() entries) on a
+  /// shared-pivot table, d(q, pool[c]) (one entry per pool pivot, every
+  /// stored pivot index below q.size()) on a per-row-pivot table.
 
-  /// Per-row-pivot range scan; `d_qp` maps pool pivot index -> d(q, p)
-  /// and has `pool_size` entries (every stored pivot index is < that).
-  void RangeScanIndirect(const double* d_qp, uint32_t pool_size, double r,
-                         std::vector<uint32_t>* survivors) const;
+  /// Range scan: appends every row index whose stored distances pass the
+  /// Lemma-1 test at radius `r` to `survivors`, in ascending row order.
+  /// Decisions are made on the double columns (the f32 filter only
+  /// pre-narrows), so the output is bit-identical at every SIMD dispatch
+  /// level.
+  void RangeScan(const std::vector<double>& q, double r,
+                 std::vector<uint32_t>* survivors) const {
+    ScanDynamic(q, [r] { return r; }, [&](size_t row) {
+      survivors->push_back(static_cast<uint32_t>(row));
+    });
+  }
 
-  /// Blocked scan with a shrinking radius -- the MkNNQ form.  `radius()`
-  /// is read at block entry for the bulk f32 filter, then re-read per
-  /// survivor for an exact double re-check before `verify(row)` runs.
-  /// The block-entry radius is never smaller than the row-by-row radius
-  /// the row-major loop used (the heap only tightens), and the f32
-  /// filter keeps a superset of the double test at that radius, so the
-  /// bulk filter keeps a superset; the per-survivor re-check then prunes
-  /// with *exactly* the radius the old loop would have seen at that row
-  /// -- verification decisions, results, and compdists all match the
-  /// row-major double scan bit for bit.  The re-check touches only the
-  /// few survivors, so the bulk of the scan still runs at f32 column
-  /// speed.
+  /// Blocked scan with a possibly shrinking radius -- the one query scan
+  /// behind MRQ (constant radius) and MkNNQ (heap radius).  `radius()` is
+  /// read at block entry for the exact block filter, whose survivors pass
+  /// the double Lemma-1 test at that radius.  Each survivor then reaches
+  /// `verify(row)` in row order, re-checked on the double columns only
+  /// when radius() has shrunk since block entry: a block-entry radius is
+  /// never smaller than the one the row-major loop used at that row (the
+  /// heap only tightens), so verification decisions, results and
+  /// compdists all match the row-major double loop bit for bit, and a
+  /// constant radius costs no re-check at all.
   ///
-  /// `prefetch(row)` runs for every f32-filter survivor of a block
-  /// before any of the block's re-checks/verifications: the batched
-  /// verification hook.  Callers use it to pull the survivors' objects
-  /// toward cache while the re-check loop runs ahead of the
-  /// BoundedDistance calls; since it is only a hint, prefetching the
-  /// f32 superset (including rows the re-check later drops) is
-  /// harmless.
+  /// `prefetch(row)` runs for every survivor of a block before any of
+  /// the block's verifications: the batched-verification hook, which
+  /// pulls the survivors' objects toward cache ahead of the
+  /// BoundedDistance calls.  It is only a hint, so prefetching a row
+  /// the re-check later drops is harmless.
   template <typename RadiusFn, typename VerifyFn, typename PrefetchFn>
-  void ScanDynamic(const double* phi_q, RadiusFn&& radius, VerifyFn&& verify,
-                   PrefetchFn&& prefetch) const {
+  void ScanDynamic(const std::vector<double>& q, RadiusFn&& radius,
+                   VerifyFn&& verify, PrefetchFn&& prefetch) const {
     uint32_t surv[kScanBlock + kSurvWriteSlack];
     FilterQuery fq;
-    PrepareFilterQuery(phi_q, &fq);
+    PrepareFilterQuery(q, &fq);
     for (size_t base = 0; base < rows_; base += kScanBlock) {
       const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
       UpdateFilterRadius(radius(), &fq);
       const size_t n = FilterBlock(fq, base, count, surv);
-      for (size_t j = 0; j < n; ++j) prefetch(base + surv[j]);
-      for (size_t j = 0; j < n; ++j) {
-        const size_t row = base + surv[j];
-        if (RowSurvives(row, phi_q, radius())) verify(row);
-      }
+      VerifyBlock(fq, base, surv, n, radius, verify, prefetch);
     }
   }
 
   template <typename RadiusFn, typename VerifyFn>
-  void ScanDynamic(const double* phi_q, RadiusFn&& radius,
+  void ScanDynamic(const std::vector<double>& q, RadiusFn&& radius,
                    VerifyFn&& verify) const {
-    ScanDynamic(phi_q, radius, verify, [](size_t) {});
+    ScanDynamic(q, radius, verify, [](size_t) {});
   }
 
-  template <typename RadiusFn, typename VerifyFn, typename PrefetchFn>
-  void ScanDynamicIndirect(const double* d_qp, uint32_t pool_size,
-                           RadiusFn&& radius, VerifyFn&& verify,
-                           PrefetchFn&& prefetch) const {
-    uint32_t surv[kScanBlock + kSurvWriteSlack];
-    FilterQuery fq;
-    PrepareFilterQueryIndirect(d_qp, pool_size, &fq);
-    for (size_t base = 0; base < rows_; base += kScanBlock) {
-      const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-      UpdateFilterRadius(radius(), &fq);
-      const size_t n = FilterBlockIndirect(fq, base, count, surv);
-      for (size_t j = 0; j < n; ++j) prefetch(base + surv[j]);
-      for (size_t j = 0; j < n; ++j) {
-        const size_t row = base + surv[j];
-        if (RowSurvivesIndirect(row, d_qp, radius())) verify(row);
-      }
-    }
-  }
-
-  template <typename RadiusFn, typename VerifyFn>
-  void ScanDynamicIndirect(const double* d_qp, uint32_t pool_size,
-                           RadiusFn&& radius, VerifyFn&& verify) const {
-    ScanDynamicIndirect(d_qp, pool_size, radius, verify, [](size_t) {});
-  }
-
-  /// Block-major batch scan (shared-pivot form), the core of the batch
-  /// query engine: for each kScanBlock row block, runs the filter
-  /// cascade for ALL `nq` queries while the block's column slabs are
-  /// cache-resident -- one slab load amortized over the whole batch
-  /// (FilterBlockMulti), instead of re-streaming every column once per
-  /// query as a query-major loop does.
+  /// Block-major batch scan, the core of the batch query engine: for
+  /// each kScanBlock row block, runs the filter cascade for ALL queries
+  /// `qs` while the block's column slabs are cache-resident -- one slab
+  /// load amortized over the whole batch (FilterBlockMulti), instead of
+  /// re-streaming every column once per query as a query-major loop
+  /// does.
   ///
   /// Per query the execution is EXACTLY the ScanDynamic sequence:
-  /// radius(qi) is read at block entry for the bulk f32 filter (the
-  /// MkNNQ re-entry point -- a shrinking heap radius is picked up block
-  /// by block), and each filter survivor is re-checked against the
-  /// double columns at the CURRENT radius(qi) before verify(qi, row)
-  /// runs.  Queries only interleave at block boundaries and share no
-  /// state, so per-query filter decisions, verification calls (count
-  /// and order), and results are bit-identical to running the
-  /// single-query scans query by query, at every SIMD dispatch level.
-  /// MRQ callers pass a constant radius (the re-check then passes every
-  /// survivor, matching RangeScan's candidate list); prefetch(qi, row)
-  /// runs for every f32 survivor of a (block, query) pair before that
-  /// pair's re-checks, mirroring ScanDynamic's batched-verification
-  /// hook.  phi(qi) must return a pointer that stays valid for the
-  /// whole scan.  Batches beyond kScanBatchTile are tiled: each tile
-  /// runs the full block loop on its own bounded scratch (a query's own
-  /// block order -- the MkNNQ radius chain -- is untouched by tiling).
-  template <typename PhiFn, typename RadiusFn, typename VerifyFn,
-            typename PrefetchFn>
-  void ScanBlockMajor(size_t nq, PhiFn&& phi, RadiusFn&& radius,
-                      VerifyFn&& verify, PrefetchFn&& prefetch) const {
+  /// radius(qi) is read at block entry for the block filter (the MkNNQ
+  /// re-entry point -- a shrinking heap radius is picked up block by
+  /// block), and the block's survivors reach verify(qi, row) through the
+  /// same re-check, after prefetch(qi, row) has run for each of them.
+  /// Queries only interleave at block boundaries and share no state, so
+  /// per-query filter decisions, verification calls (count and order),
+  /// and results are bit-identical to running ScanDynamic query by
+  /// query, at every SIMD dispatch level.  Batches beyond kScanBatchTile
+  /// are tiled: each tile runs the full block loop on its own bounded
+  /// scratch (a query's own block order -- the MkNNQ radius chain -- is
+  /// untouched by tiling).
+  template <typename RadiusFn, typename VerifyFn, typename PrefetchFn>
+  void ScanBlockMajor(const std::vector<std::vector<double>>& qs,
+                      RadiusFn&& radius, VerifyFn&& verify,
+                      PrefetchFn&& prefetch) const {
+    const size_t nq = qs.size();
     if (nq == 0 || rows_ == 0) return;
     const size_t sstride = kScanBlock + kSurvWriteSlack;
     const size_t tile = std::min(nq, kScanBatchTile);
     std::vector<FilterQuery> fqs(tile);
-    std::vector<const double*> phis(tile);
     std::vector<uint8_t> keep(tile * size_t(kScanBlock));
     std::vector<uint32_t> surv(tile * sstride);
     std::vector<size_t> counts(tile);
     for (size_t t0 = 0; t0 < nq; t0 += tile) {
       const size_t m = std::min(tile, nq - t0);
-      for (size_t j = 0; j < m; ++j) {
-        phis[j] = phi(t0 + j);
-        PrepareFilterQuery(phis[j], &fqs[j]);
-      }
+      for (size_t j = 0; j < m; ++j) PrepareFilterQuery(qs[t0 + j], &fqs[j]);
       for (size_t base = 0; base < rows_; base += kScanBlock) {
         const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
         for (size_t j = 0; j < m; ++j) {
@@ -410,56 +370,11 @@ class PivotTable {
                          surv.data(), counts.data());
         for (size_t j = 0; j < m; ++j) {
           const size_t qi = t0 + j;
-          const uint32_t* s = surv.data() + j * sstride;
-          for (size_t i = 0; i < counts[j]; ++i) prefetch(qi, base + s[i]);
-          for (size_t i = 0; i < counts[j]; ++i) {
-            const size_t row = base + s[i];
-            if (RowSurvives(row, phis[j], radius(qi))) verify(qi, row);
-          }
-        }
-      }
-    }
-  }
-
-  /// Per-row-pivot form of ScanBlockMajor; d_qp(qi) maps pool pivot
-  /// index -> d(q_qi, p) with `pool_size` entries (one pool shared by
-  /// the batch, per-query distances).
-  template <typename DqpFn, typename RadiusFn, typename VerifyFn,
-            typename PrefetchFn>
-  void ScanBlockMajorIndirect(size_t nq, uint32_t pool_size, DqpFn&& d_qp,
-                              RadiusFn&& radius, VerifyFn&& verify,
-                              PrefetchFn&& prefetch) const {
-    if (nq == 0 || rows_ == 0) return;
-    const size_t sstride = kScanBlock + kSurvWriteSlack;
-    const size_t tile = std::min(nq, kScanBatchTile);
-    std::vector<FilterQuery> fqs(tile);
-    std::vector<const double*> dqps(tile);
-    std::vector<uint8_t> keep(tile * size_t(kScanBlock));
-    std::vector<uint32_t> surv(tile * sstride);
-    std::vector<size_t> counts(tile);
-    for (size_t t0 = 0; t0 < nq; t0 += tile) {
-      const size_t m = std::min(tile, nq - t0);
-      for (size_t j = 0; j < m; ++j) {
-        dqps[j] = d_qp(t0 + j);
-        PrepareFilterQueryIndirect(dqps[j], pool_size, &fqs[j]);
-      }
-      for (size_t base = 0; base < rows_; base += kScanBlock) {
-        const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-        for (size_t j = 0; j < m; ++j) {
-          UpdateFilterRadius(radius(t0 + j), &fqs[j]);
-        }
-        FilterBlockIndirectMulti(fqs.data(), m, base, count, keep.data(),
-                                 surv.data(), counts.data());
-        for (size_t j = 0; j < m; ++j) {
-          const size_t qi = t0 + j;
-          const uint32_t* s = surv.data() + j * sstride;
-          for (size_t i = 0; i < counts[j]; ++i) prefetch(qi, base + s[i]);
-          for (size_t i = 0; i < counts[j]; ++i) {
-            const size_t row = base + s[i];
-            if (RowSurvivesIndirect(row, dqps[j], radius(qi))) {
-              verify(qi, row);
-            }
-          }
+          VerifyBlock(
+              fqs[j], base, surv.data() + j * sstride, counts[j],
+              [&] { return radius(qi); },
+              [&](size_t row) { verify(qi, row); },
+              [&](size_t row) { prefetch(qi, row); });
         }
       }
     }
@@ -531,43 +446,55 @@ class PivotTable {
   /// Prepared once per scan; the radii are refreshed per block when the
   /// dynamic radius moves.
   struct FilterQuery {
-    std::vector<float> qf;   // shared: per-slot phi_q; indirect: d_qp pool
-    std::vector<float> rw;   // wide radii (shared per-slot; indirect [0])
+    std::vector<float> qf;   // f32 casts of q
+    std::vector<float> rw;   // wide radii (shared: per slot; indirect: [0])
     std::vector<float> rn;   // narrow radii, same shape
-    const double* qd = nullptr;     // phi_q (shared) or d_qp (indirect)
-    double qmax_abs = 0;            // indirect form only: max |d_qp|
+    const double* qd = nullptr;     // q itself
+    double qmax_abs = 0;            // indirect form only: max |q[c]|
     double r_cached = std::numeric_limits<double>::quiet_NaN();
-    bool indirect = false;
+    bool indirect = false;          // the table's per_row_pivots()
     const SimdOps* ops = nullptr;   // dispatch table, fetched once per scan
   };
 
-  void PrepareFilterQuery(const double* phi_q, FilterQuery* fq) const;
-  void PrepareFilterQueryIndirect(const double* d_qp, uint32_t pool_size,
-                                  FilterQuery* fq) const;
+  void PrepareFilterQuery(const std::vector<double>& q,
+                          FilterQuery* fq) const;
   /// Recomputes the two-sided radii for radius `r` (no-op when
   /// unchanged).
   static void UpdateFilterRadius(double r, FilterQuery* fq);
 
+  /// The kernel inputs of pivot slot `p` of block `b`, one per layout.
+  static ExactSlot SharedSlot(const FilterQuery& fq, const TableBlock& b,
+                              uint32_t p);
+  static ExactSlotGather GatherSlot(const FilterQuery& fq,
+                                    const TableBlock& b, uint32_t p);
+
   /// Single-row Lemma-1 test at radius `r` on the exact double columns
-  /// (the per-survivor re-check of every scan).
-  bool RowSurvives(size_t row, const double* phi_q, double r) const {
-    const TableBlock& b = *blocks_[row / kScanBlock];
-    const size_t o = row % kScanBlock;
-    for (uint32_t p = 0; p < width_; ++p) {
-      if (std::fabs(b.d[size_t(p) * kScanBlock + o] - phi_q[p]) > r) {
-        return false;
-      }
-    }
-    return true;
-  }
-  bool RowSurvivesIndirect(size_t row, const double* d_qp, double r) const {
+  /// (the re-check of a survivor after the radius shrank mid-block).
+  bool RowSurvives(size_t row, const double* q, double r) const {
     const TableBlock& b = *blocks_[row / kScanBlock];
     const size_t o = row % kScanBlock;
     for (uint32_t p = 0; p < width_; ++p) {
       const size_t at = size_t(p) * kScanBlock + o;
-      if (std::fabs(b.d[at] - d_qp[b.pidx[at]]) > r) return false;
+      const double qv = per_row_ ? q[b.pidx[at]] : q[p];
+      if (std::fabs(b.d[at] - qv) > r) return false;
     }
     return true;
+  }
+
+  /// Hands block `base`'s `n` survivors (block-local, ascending) to
+  /// verify in row order after prefetching them all.  A survivor passed
+  /// the exact double test at fq.r_cached, so RowSurvives runs only once
+  /// radius() has moved off that value.
+  template <typename RadiusFn, typename VerifyFn, typename PrefetchFn>
+  void VerifyBlock(const FilterQuery& fq, size_t base, const uint32_t* surv,
+                   size_t n, RadiusFn&& radius, VerifyFn&& verify,
+                   PrefetchFn&& prefetch) const {
+    for (size_t j = 0; j < n; ++j) prefetch(base + surv[j]);
+    for (size_t j = 0; j < n; ++j) {
+      const size_t row = base + surv[j];
+      const double r = radius();
+      if (r == fq.r_cached || RowSurvives(row, fq.qd, r)) verify(row);
+    }
   }
 
   /// Exact block filter: writes the block-local indices (0-based within
@@ -580,23 +507,18 @@ class PivotTable {
   /// `count`.
   size_t FilterBlock(const FilterQuery& fq, size_t base, size_t count,
                      uint32_t* surv) const;
-  size_t FilterBlockIndirect(const FilterQuery& fq, size_t base,
-                             size_t count, uint32_t* surv) const;
 
   /// The cascade stages after the pivot-0 sweep -- dense mask-ANDs while
   /// profitable, compaction, then f64 refines over the sparse survivor
-  /// list.  ONE implementation shared by the single-query FilterBlock*
-  /// and the per-query continuations of FilterBlockMulti*, so the
-  /// block-major == query-major bit-identity holds by construction, not
-  /// by parallel maintenance.  `n` is the pivot-0 survivor count over
-  /// `keep`; returns the final count with survivors in `surv`.
+  /// list.  ONE implementation shared by FilterBlock and the per-query
+  /// continuations of FilterBlockMulti, so the block-major == query-major
+  /// bit-identity holds by construction, not by parallel maintenance.
+  /// `n` is the pivot-0 survivor count over `keep`; returns the final
+  /// count with survivors in `surv`.
   size_t ContinueCascade(const FilterQuery& fq, size_t base, size_t count,
                          size_t n, uint8_t* keep, uint32_t* surv) const;
-  size_t ContinueCascadeIndirect(const FilterQuery& fq, size_t base,
-                                 size_t count, size_t n, uint8_t* keep,
-                                 uint32_t* surv) const;
 
-  /// Batch forms of FilterBlock: one block, `nq` prepared queries.  The
+  /// Batch form of FilterBlock: one block, `nq` prepared queries.  The
   /// pivot-0 sweep runs through the multi-query kernels in tiles of
   /// kMultiQueryTile (one slab load per row chunk for the whole tile);
   /// each query's cascade then continues exactly as in FilterBlock, so
@@ -606,9 +528,6 @@ class PivotTable {
   void FilterBlockMulti(const FilterQuery* fqs, size_t nq, size_t base,
                         size_t count, uint8_t* keep, uint32_t* surv,
                         size_t* counts) const;
-  void FilterBlockIndirectMulti(const FilterQuery* fqs, size_t nq,
-                                size_t base, size_t count, uint8_t* keep,
-                                uint32_t* surv, size_t* counts) const;
 
   uint32_t width_ = 0;
   size_t rows_ = 0;

@@ -55,20 +55,20 @@ double Cpt::VerifyFromDisk(const ObjectView& q, ObjectId id,
   return 0;
 }
 
+// Both queries run the table's one scan (the bulk filter on the f32 SIMD
+// path, like LAESA's) and verify each survivor from its M-tree leaf page
+// through the buffer pool, so LAESA's in-memory object prefetch does not
+// apply here.
+
 void Cpt::RangeImpl(const ObjectView& q, double r,
                     std::vector<ObjectId>* out) const {
   DistanceComputer d = dist();
   std::vector<double> phi_q;
   pivots_.Map(q, d, &phi_q);
-  std::vector<uint32_t> candidates;
-  // The bulk filter runs on the f32 SIMD path like LAESA's, but CPT
-  // verifies from M-tree leaf pages through the buffer pool, so the
-  // in-memory object-prefetch batching does not apply here.
-  table_.RangeScan(phi_q.data(), r, &candidates);
-  for (uint32_t row : candidates) {
+  table_.ScanDynamic(phi_q, [r] { return r; }, [&](size_t row) {
     const ObjectId id = oids_[row];
     if (VerifyFromDisk(q, id, r) <= r) out->push_back(id);
-  }
+  });
 }
 
 void Cpt::KnnImpl(const ObjectView& q, size_t k,
@@ -78,7 +78,7 @@ void Cpt::KnnImpl(const ObjectView& q, size_t k,
   pivots_.Map(q, d, &phi_q);
   KnnHeap heap(k);
   table_.ScanDynamic(
-      phi_q.data(), [&] { return heap.radius(); },
+      phi_q, [&] { return heap.radius(); },
       [&](size_t row) {
         const ObjectId id = oids_[row];
         heap.Push(id, VerifyFromDisk(q, id, heap.radius()));
@@ -107,8 +107,7 @@ bool Cpt::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
   }
   std::vector<std::vector<uint32_t>> candidates(nq);
   table_.ScanBlockMajor(
-      nq, [&](size_t i) { return phi[i].data(); },
-      [&](size_t i) { return radii[i]; },
+      phi, [&](size_t i) { return radii[i]; },
       [&](size_t i, size_t row) {
         candidates[i].push_back(static_cast<uint32_t>(row));
       },

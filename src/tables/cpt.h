@@ -7,6 +7,11 @@
 // reading that leaf page (the per-candidate I/O the paper charges CPT
 // for).  Updates must maintain both structures, which is why Table 6
 // ranks CPT near the bottom.
+//
+// The in-memory half is LAESA's shared-pivot PivotTable and runs the
+// same scans (ScanDynamic for MRQ and MkNNQ, ScanBlockMajor for MRQ
+// batches); only verification differs, since CPT reads each candidate
+// from disk instead of from the dataset.
 
 #ifndef PMI_TABLES_CPT_H_
 #define PMI_TABLES_CPT_H_

@@ -1,13 +1,10 @@
 #include "src/tables/ept.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 
-#include "src/core/knn_heap.h"
 #include "src/core/pivot_selection.h"
-#include "src/core/simd.h"
 #include "src/core/rng.h"
 #include "src/core/thread_pool.h"
 
@@ -207,120 +204,11 @@ void Ept::AppendRow(ObjectId id) {
   table_.AppendRow(row_pdist_.data(), row_pidx_.data());
 }
 
-void Ept::MapQueryToPool(const ObjectView& q, std::vector<double>* out) const {
-  MapQueryToPool(q, dist(), out);
-}
-
-void Ept::MapQueryToPool(const ObjectView& q, const DistanceComputer& d,
-                         std::vector<double>* out) const {
+void Ept::MapQuery(const ObjectView& q, const DistanceComputer& d,
+                   std::vector<double>* out) const {
   const PivotSet& pool = query_pool();
   out->resize(pool.size());
   for (uint32_t p = 0; p < pool.size(); ++p) (*out)[p] = d(q, pool.pivot(p));
-}
-
-void Ept::RangeImpl(const ObjectView& q, double r,
-                    std::vector<ObjectId>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> d_qp;
-  MapQueryToPool(q, &d_qp);
-  std::vector<uint32_t> candidates;
-  table_.RangeScanIndirect(d_qp.data(),
-                           static_cast<uint32_t>(d_qp.size()), r,
-                           &candidates);
-  VerifyCandidatesWithPrefetch(candidates, oids_, data(), d, q, r, out);
-}
-
-void Ept::KnnImpl(const ObjectView& q, size_t k,
-                  std::vector<Neighbor>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> d_qp;
-  MapQueryToPool(q, &d_qp);
-  KnnHeap heap(k);
-  table_.ScanDynamicIndirect(
-      d_qp.data(), static_cast<uint32_t>(d_qp.size()),
-      [&] { return heap.radius(); },
-      [&](size_t row) {
-        const ObjectId id = oids_[row];
-        heap.Push(id, d.Bounded(q, data().view(id), heap.radius()));
-      },
-      [&](size_t row) {
-        PrefetchRead(data().view(oids_[row]).payload_ptr());
-      });
-  heap.TakeSorted(out);
-}
-
-// Block-major batch paths: the indirect-form mirror of Laesa's (see
-// laesa.cc) -- queries map against the pivot pool, then the per-row-
-// pivot table streams once per query chunk via ScanBlockMajorIndirect.
-bool Ept::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                              const double* radii,
-                              std::vector<std::vector<ObjectId>>* out,
-                              PerfCounters* per_query) const {
-  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
-    const size_t m = qe - qb;
-    // Worker-private shards, folded once at chunk end (see
-    // Laesa::RangeBatchBlockImpl).
-    std::vector<PerfCounters> local(m);
-    std::vector<std::vector<double>> d_qp(m);
-    for (size_t j = 0; j < m; ++j) {
-      DistanceComputer d(&metric(), &local[j]);
-      MapQueryToPool(queries[qb + j], d, &d_qp[j]);
-    }
-    table_.ScanBlockMajorIndirect(
-        m, query_pool().size(), [&](size_t j) { return d_qp[j].data(); },
-        [&](size_t j) { return radii[qb + j]; },
-        [&](size_t j, size_t row) {
-          const size_t i = qb + j;
-          const ObjectId id = oids_[row];
-          DistanceComputer d(&metric(), &local[j]);
-          if (d.Bounded(queries[i], data().view(id), radii[i]) <=
-              radii[i]) {
-            (*out)[i].push_back(id);
-          }
-        },
-        [&](size_t, size_t row) {
-          PrefetchRead(data().view(oids_[row]).payload_ptr());
-        });
-    for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
-  });
-  return true;
-}
-
-bool Ept::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                            const size_t* ks,
-                            std::vector<std::vector<Neighbor>>* out,
-                            PerfCounters* per_query) const {
-  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
-    const size_t m = qe - qb;
-    std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
-    std::vector<std::vector<double>> d_qp(m);
-    std::vector<KnnHeap> heaps;
-    heaps.reserve(m);
-    for (size_t j = 0; j < m; ++j) {
-      DistanceComputer d(&metric(), &local[j]);
-      MapQueryToPool(queries[qb + j], d, &d_qp[j]);
-      heaps.emplace_back(ks[qb + j]);
-    }
-    table_.ScanBlockMajorIndirect(
-        m, query_pool().size(), [&](size_t j) { return d_qp[j].data(); },
-        [&](size_t j) { return heaps[j].radius(); },
-        [&](size_t j, size_t row) {
-          const size_t i = qb + j;
-          const ObjectId id = oids_[row];
-          DistanceComputer d(&metric(), &local[j]);
-          heaps[j].Push(
-              id, d.Bounded(queries[i], data().view(id),
-                            heaps[j].radius()));
-        },
-        [&](size_t, size_t row) {
-          PrefetchRead(data().view(oids_[row]).payload_ptr());
-        });
-    for (size_t j = 0; j < m; ++j) {
-      heaps[j].TakeSorted(&(*out)[qb + j]);
-      per_query[qb + j] += local[j];
-    }
-  });
-  return true;
 }
 
 void Ept::InsertImpl(ObjectId id) {
@@ -331,18 +219,6 @@ void Ept::InsertImpl(ObjectId id) {
     EstimateMus();
   }
   AppendRow(id);
-}
-
-void Ept::RemoveImpl(ObjectId id) {
-  // O(n) victim scan, then O(l) swap-with-last compaction -- the scan
-  // table is order-independent.
-  for (size_t i = 0; i < oids_.size(); ++i) {
-    if (oids_[i] != id) continue;
-    oids_[i] = oids_.back();
-    oids_.pop_back();
-    table_.RemoveRowSwap(i);
-    return;
-  }
 }
 
 std::unique_ptr<MetricIndex> Ept::Clone() const {

@@ -16,26 +16,32 @@
 // factor of ~(|CP|+|S|)/(m*l) rather than the paper's ~1000x naive
 // recomputation; the ordering (EPT* costliest to build, cheapest to
 // query) is preserved.
+//
+// The queries and deletion are the scan-table engine shared with LAESA
+// (src/tables/scan_table.h) over the table's per-row-pivot layout; EPT
+// supplies the pivot pool, the per-object pivot selection, and maps a
+// query to its distances to every pool pivot.
 
 #ifndef PMI_TABLES_EPT_H_
 #define PMI_TABLES_EPT_H_
 
 #include <vector>
 
-#include "src/core/index.h"
-#include "src/core/pivot_table.h"
 #include "src/core/pivots.h"
 #include "src/tables/psa.h"
+#include "src/tables/scan_table.h"
 
 namespace pmi {
 
-/// Extreme pivot table; variant selects classic EPT or EPT*.
-class Ept final : public MetricIndex {
+/// Extreme pivot table; variant selects classic EPT or EPT*.  table()
+/// holds rows x l (pool index, pre-computed distance) pairs in the
+/// per-row-pivot layout (see src/core/pivot_table.h).
+class Ept final : public ScanTableIndex {
  public:
   enum class Variant { kClassic, kStar };
 
   explicit Ept(Variant variant, IndexOptions options = {})
-      : MetricIndex(options), variant_(variant) {}
+      : ScanTableIndex(options), variant_(variant) {}
 
   std::string name() const override {
     return variant_ == Variant::kClassic ? "EPT" : "EPT*";
@@ -43,37 +49,19 @@ class Ept final : public MetricIndex {
   bool disk_based() const override { return false; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
+  void MapQuery(const ObjectView& q, const DistanceComputer& d,
+                std::vector<double>* out) const override;
 
   /// Group size m actually used (after Equation (1) estimation).
   uint32_t group_size() const { return m_; }
 
-  /// Read-only view of the per-row-pivot distance table (see Laesa).
-  const PivotTable& table() const { return table_; }
-
  protected:
   void BuildImpl() override;
-  void RangeImpl(const ObjectView& q, double r,
-                 std::vector<ObjectId>* out) const override;
-  void KnnImpl(const ObjectView& q, size_t k,
-               std::vector<Neighbor>* out) const override;
   void InsertImpl(ObjectId id) override;
-  void RemoveImpl(ObjectId id) override;
-  // Batches of two or more run block-major over the per-row-pivot table
-  // (see Laesa).
-  bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                           const double* radii,
-                           std::vector<std::vector<ObjectId>>* out,
-                           PerfCounters* per_query) const override;
-  bool KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                         const size_t* ks,
-                         std::vector<std::vector<Neighbor>>* out,
-                         PerfCounters* per_query) const override;
   Status SaveImpl(ByteSink* out) const override;
   Status LoadImpl(ByteSource* in) override;
 
  private:
-  uint32_t per_object() const { return l_; }
-
   void EstimateGroupSize();
   void EstimateMus();
   /// Selects the l (pool index, distance) pairs of one row.  Distances go
@@ -88,11 +76,6 @@ class Ept final : public MetricIndex {
   void SelectStar(ObjectId id, const DistanceComputer& d, uint32_t* pidx,
                   double* pdist) const;
   void AppendRow(ObjectId id);
-  void MapQueryToPool(const ObjectView& q, std::vector<double>* out) const;
-  /// Batch form: the pool mapping counted through an explicit computer
-  /// (the block-major paths bind one per query shard).
-  void MapQueryToPool(const ObjectView& q, const DistanceComputer& d,
-                      std::vector<double>* out) const;
 
   Variant variant_;
   uint32_t l_ = 0;  // pivots per object (= |P| of the shared setting)
@@ -107,10 +90,6 @@ class Ept final : public MetricIndex {
     return variant_ == Variant::kClassic ? pool_ : psa_.pool();
   }
 
-  std::vector<ObjectId> oids_;  // row -> object id
-  /// Columnar rows x l table of (pool index, pre-computed distance) pairs
-  /// in the per-row-pivot layout (see src/core/pivot_table.h).
-  PivotTable table_;
   std::vector<uint32_t> row_pidx_;  // AppendRow (serial insert) scratch
   std::vector<double> row_pdist_;
 };

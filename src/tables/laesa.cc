@@ -1,9 +1,5 @@
 #include "src/tables/laesa.h"
 
-#include <cassert>
-
-#include "src/core/knn_heap.h"
-#include "src/core/simd.h"
 #include "src/core/thread_pool.h"
 
 namespace pmi {
@@ -33,114 +29,9 @@ void Laesa::BuildImpl() {
   FoldCounters(shards, &counters_);
 }
 
-void Laesa::RangeImpl(const ObjectView& q, double r,
-                      std::vector<ObjectId>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> phi_q;
-  pivots_.Map(q, d, &phi_q);
-  std::vector<uint32_t> candidates;
-  table_.RangeScan(phi_q.data(), r, &candidates);
-  VerifyCandidatesWithPrefetch(candidates, oids_, data(), d, q, r, out);
-}
-
-void Laesa::KnnImpl(const ObjectView& q, size_t k,
-                    std::vector<Neighbor>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> phi_q;
-  pivots_.Map(q, d, &phi_q);
-  KnnHeap heap(k);
-  table_.ScanDynamic(
-      phi_q.data(), [&] { return heap.radius(); },
-      [&](size_t row) {
-        const ObjectId id = oids_[row];
-        heap.Push(id, d.Bounded(q, data().view(id), heap.radius()));
-      },
-      [&](size_t row) {
-        PrefetchRead(data().view(oids_[row]).payload_ptr());
-      });
-  heap.TakeSorted(out);
-}
-
-// Block-major batch MRQ: queries are fixed-partitioned into contiguous
-// chunks (one per pool slot); each chunk maps its queries, then streams
-// the pivot table ONCE for the whole chunk via ScanBlockMajor -- every
-// 1 KB column slab filters all chunk queries while cache-resident.  Per
-// query the mapping (|P| compdists) and the verification calls (one
-// Bounded per exact survivor, ascending row order) are exactly what
-// RangeImpl performs, counted into that query's shard.
-bool Laesa::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                                const double* radii,
-                                std::vector<std::vector<ObjectId>>* out,
-                                PerfCounters* per_query) const {
-  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
-    const size_t m = qe - qb;
-    // Worker-private counter shards, folded into the (cache-line-
-    // adjacent, cross-worker) per_query array once at chunk end --
-    // the hot path never writes a line another worker touches.
-    std::vector<PerfCounters> local(m);
-    std::vector<std::vector<double>> phi(m);
-    for (size_t j = 0; j < m; ++j) {
-      DistanceComputer d(&metric(), &local[j]);
-      pivots_.Map(queries[qb + j], d, &phi[j]);
-    }
-    table_.ScanBlockMajor(
-        m, [&](size_t j) { return phi[j].data(); },
-        [&](size_t j) { return radii[qb + j]; },
-        [&](size_t j, size_t row) {
-          const size_t i = qb + j;
-          const ObjectId id = oids_[row];
-          DistanceComputer d(&metric(), &local[j]);
-          if (d.Bounded(queries[i], data().view(id), radii[i]) <=
-              radii[i]) {
-            (*out)[i].push_back(id);
-          }
-        },
-        [&](size_t, size_t row) {
-          PrefetchRead(data().view(oids_[row]).payload_ptr());
-        });
-    for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
-  });
-  return true;
-}
-
-// Block-major batch MkNNQ: same chunking; each query carries its own
-// heap, whose shrinking radius re-enters the filter at every block
-// boundary exactly as in the single-query ScanDynamic.
-bool Laesa::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                              const size_t* ks,
-                              std::vector<std::vector<Neighbor>>* out,
-                              PerfCounters* per_query) const {
-  ParallelQueryChunks(queries.size(), [&](size_t qb, size_t qe) {
-    const size_t m = qe - qb;
-    std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
-    std::vector<std::vector<double>> phi(m);
-    std::vector<KnnHeap> heaps;
-    heaps.reserve(m);
-    for (size_t j = 0; j < m; ++j) {
-      DistanceComputer d(&metric(), &local[j]);
-      pivots_.Map(queries[qb + j], d, &phi[j]);
-      heaps.emplace_back(ks[qb + j]);
-    }
-    table_.ScanBlockMajor(
-        m, [&](size_t j) { return phi[j].data(); },
-        [&](size_t j) { return heaps[j].radius(); },
-        [&](size_t j, size_t row) {
-          const size_t i = qb + j;
-          const ObjectId id = oids_[row];
-          DistanceComputer d(&metric(), &local[j]);
-          heaps[j].Push(
-              id, d.Bounded(queries[i], data().view(id),
-                            heaps[j].radius()));
-        },
-        [&](size_t, size_t row) {
-          PrefetchRead(data().view(oids_[row]).payload_ptr());
-        });
-    for (size_t j = 0; j < m; ++j) {
-      heaps[j].TakeSorted(&(*out)[qb + j]);
-      per_query[qb + j] += local[j];
-    }
-  });
-  return true;
+void Laesa::MapQuery(const ObjectView& q, const DistanceComputer& d,
+                     std::vector<double>* out) const {
+  pivots_.Map(q, d, out);
 }
 
 void Laesa::InsertImpl(ObjectId id) {
@@ -149,18 +40,6 @@ void Laesa::InsertImpl(ObjectId id) {
   pivots_.Map(data().view(id), d, &phi);
   oids_.push_back(id);
   table_.AppendRow(phi.data());
-}
-
-void Laesa::RemoveImpl(ObjectId id) {
-  // Sequential scan for the victim row (the deletion behaviour of a scan
-  // table), then O(l) swap-with-last compaction.
-  for (size_t i = 0; i < oids_.size(); ++i) {
-    if (oids_[i] != id) continue;
-    oids_[i] = oids_.back();
-    oids_.pop_back();
-    table_.RemoveRowSwap(i);
-    return;
-  }
 }
 
 std::unique_ptr<MetricIndex> Laesa::Clone() const {

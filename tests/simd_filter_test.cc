@@ -128,7 +128,7 @@ TEST(SimdFilterTest, SharedScanBitIdenticalAcrossLevelsAllWidths) {
       for (SimdLevel level : SupportedSimdLevels()) {
         ForceLevel(level);
         std::vector<uint32_t> got;
-        t.table.RangeScan(phi_q.data(), r, &got);
+        t.table.RangeScan(phi_q, r, &got);
         EXPECT_EQ(got, want) << "level=" << SimdLevelName(level)
                              << " l=" << l << " r=" << r;
       }
@@ -156,7 +156,7 @@ TEST(SimdFilterTest, SharedScanBitIdenticalAcrossLevelsBlockTails) {
       for (SimdLevel level : SupportedSimdLevels()) {
         ForceLevel(level);
         std::vector<uint32_t> got;
-        t.table.RangeScan(phi_q.data(), r, &got);
+        t.table.RangeScan(phi_q, r, &got);
         EXPECT_EQ(got, want) << "level=" << SimdLevelName(level)
                              << " rows=" << n << " r=" << r;
       }
@@ -204,7 +204,7 @@ TEST(SimdFilterTest, IndirectScanBitIdenticalAcrossLevels) {
       for (SimdLevel level : SupportedSimdLevels()) {
         ForceLevel(level);
         std::vector<uint32_t> got;
-        table.RangeScanIndirect(d_qp.data(), kPool, r, &got);
+        table.RangeScan(d_qp, r, &got);
         EXPECT_EQ(got, want) << "level=" << SimdLevelName(level)
                              << " l=" << l << " r=" << r;
       }
@@ -243,7 +243,7 @@ TEST(SimdFilterTest, BoundaryValuesNeverFlipDecisions) {
   for (SimdLevel level : SupportedSimdLevels()) {
     ForceLevel(level);
     std::vector<uint32_t> got;
-    t.table.RangeScan(phi_q.data(), r, &got);
+    t.table.RangeScan(phi_q, r, &got);
     EXPECT_EQ(got, want) << "level=" << SimdLevelName(level);
   }
   RestoreDefaultLevel();
@@ -341,15 +341,14 @@ TEST(SimdFilterTest, BlockMajorScanMatchesPerQueryScanAcrossLevels) {
       ForceLevel(level);
       std::vector<std::vector<uint32_t>> got(nq);
       t.table.ScanBlockMajor(
-          nq, [&](size_t qi) { return phi[qi].data(); },
-          [&](size_t qi) { return radii[qi]; },
+          phi, [&](size_t qi) { return radii[qi]; },
           [&](size_t qi, size_t row) {
             got[qi].push_back(static_cast<uint32_t>(row));
           },
           [](size_t, size_t) {});
       for (size_t qi = 0; qi < nq; ++qi) {
         std::vector<uint32_t> want;
-        t.table.RangeScan(phi[qi].data(), radii[qi], &want);
+        t.table.RangeScan(phi[qi], radii[qi], &want);
         EXPECT_EQ(got[qi], want)
             << "level=" << SimdLevelName(level) << " nq=" << nq
             << " qi=" << qi << " r=" << radii[qi];
@@ -410,15 +409,14 @@ TEST(SimdFilterTest, BlockMajorScanTileBoundaryWithUniformRadius) {
     ForceLevel(level);
     std::vector<std::vector<uint32_t>> got(nq);
     t.table.ScanBlockMajor(
-        nq, [&](size_t qi) { return phi[qi].data(); },
-        [&](size_t) { return r; },
+        phi, [&](size_t) { return r; },
         [&](size_t qi, size_t row_id) {
           got[qi].push_back(static_cast<uint32_t>(row_id));
         },
         [](size_t, size_t) {});
     for (size_t qi = 0; qi < nq; ++qi) {
       std::vector<uint32_t> want;
-      t.table.RangeScan(phi[qi].data(), r, &want);
+      t.table.RangeScan(phi[qi], r, &want);
       EXPECT_EQ(got[qi], want)
           << "level=" << SimdLevelName(level) << " qi=" << qi;
     }
@@ -458,16 +456,15 @@ TEST(SimdFilterTest, BlockMajorIndirectScanMatchesPerQueryScan) {
     for (SimdLevel level : SupportedSimdLevels()) {
       ForceLevel(level);
       std::vector<std::vector<uint32_t>> got(nq);
-      table.ScanBlockMajorIndirect(
-          nq, kPool, [&](size_t qi) { return d_qp[qi].data(); },
-          [&](size_t qi) { return radii[qi]; },
+      table.ScanBlockMajor(
+          d_qp, [&](size_t qi) { return radii[qi]; },
           [&](size_t qi, size_t row) {
             got[qi].push_back(static_cast<uint32_t>(row));
           },
           [](size_t, size_t) {});
       for (size_t qi = 0; qi < nq; ++qi) {
         std::vector<uint32_t> want;
-        table.RangeScanIndirect(d_qp[qi].data(), kPool, radii[qi], &want);
+        table.RangeScan(d_qp[qi], radii[qi], &want);
         EXPECT_EQ(got[qi], want)
             << "level=" << SimdLevelName(level) << " nq=" << nq
             << " qi=" << qi << " r=" << radii[qi];

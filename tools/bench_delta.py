@@ -3,9 +3,9 @@
 
 Usage: tools/bench_delta.py BASELINE.json FRESH.json
 
-Matches result entries by their identity fields (name + level / pivots /
-selectivity / threads / batch -- whatever the entry carries) and reports
-the ratio of every shared timing field (...ms, ...qps).  Rows either
+Matches result entries by their identity fields (name + level / layout /
+pivots / selectivity / threads / batch -- whatever the entry carries) and
+reports the ratio of every shared timing field (...ms, ...qps).  Rows either
 file marks "valid": false (more threads than the host had) are skipped.
 Baseline rows the fresh run does not produce at all (a deleted bench
 section or dispatch level, or one this host cannot run) are listed by
@@ -23,9 +23,9 @@ garbage JSON should fail the step).
 import json
 import sys
 
-IDENTITY_KEYS = ("name", "index", "level", "pivots", "selectivity",
-                 "threads", "batch", "metric", "dataset", "shards",
-                 "clients")
+IDENTITY_KEYS = ("name", "index", "level", "layout", "pivots",
+                 "selectivity", "threads", "batch", "metric", "dataset",
+                 "shards", "clients")
 WARN_RATIO = 1.15  # flag slowdowns beyond this; below is likely noise
 
 
