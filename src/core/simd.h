@@ -29,12 +29,15 @@
 // vector paths only change how many lanes evaluate it per cycle
 // (tests/simd_filter_test.cc fuzzes this across levels).
 //
-// Exactness contract: the float predicate is a *conservative* filter.
-// Callers must pass a radius widened with ConservativeFilterRadius() so
-// that every row passing the exact double test also passes the float
-// test; the resulting superset is then narrowed back to the bit-exact
-// double answer by the per-survivor re-check in PivotTable.  See the
-// derivation at ConservativeFilterRadius below.
+// Exactness contract: the kernels themselves return the exact double
+// answer.  Each ExactSlot carries two float radii: the wide one
+// (ConservativeFilterRadius) is passed by every row that passes the
+// double test, and the narrow one (CertificateFilterRadius) is passed
+// only by rows that do.  A row that the f32 test cannot settle either
+// way falls back to the double column inside the kernel, so every mask
+// and survivor list equals the double predicate row for row
+// (src/core/pivot_table.h).  See the derivations at
+// ConservativeFilterRadius and CertificateFilterRadius below.
 
 #ifndef PMI_CORE_SIMD_H_
 #define PMI_CORE_SIMD_H_

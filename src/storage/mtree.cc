@@ -418,12 +418,7 @@ MTree::SplitOutcome MTree::SplitNode(PageId page, MTreeNode&& node,
 // -- removal ------------------------------------------------------------------
 
 bool MTree::Remove(ObjectId oid) {
-  std::string buf;
-  data_->SerializeObject(oid, &buf);
-  std::vector<char> payload(buf.begin(), buf.end());
-  ObjectView obj = data_->DeserializeObject(
-      payload.data(), static_cast<uint32_t>(payload.size()));
-  bool removed = RemoveRec(root_, obj, oid);
+  bool removed = RemoveRec(root_, data_->view(oid), oid);
   if (removed) --size_;
   return removed;
 }

@@ -25,11 +25,12 @@ void Aesa::BuildImpl() {
   }
 }
 
-// Successive pivoting shared by both query types: repeatedly verify the
-// active object with the smallest lower bound, using its true distance to
-// tighten every other active object's bound via the matrix row.
-void Aesa::RangeImpl(const ObjectView& q, double r,
-                     std::vector<ObjectId>* out) const {
+// Successive pivoting, the one body of both query types: repeatedly
+// verify the active object with the smallest lower bound, using its true
+// distance to tighten every other active object's bound via the matrix
+// row.  The collector's radius() is fixed for MRQ and shrinks for MkNNQ.
+template <typename Collector>
+void Aesa::Search(const ObjectView& q, Collector* c) const {
   DistanceComputer d = dist();
   std::vector<double> lb(n_, 0);
   std::vector<bool> active = live_;
@@ -42,10 +43,10 @@ void Aesa::RangeImpl(const ObjectView& q, double r,
         best = i;
       }
     }
-    if (best == kInvalidObjectId || best_lb > r) break;
+    if (best == kInvalidObjectId || best_lb > c->radius()) break;
     active[best] = false;
     double dq = d(q, data().view(best));
-    if (dq <= r) out->push_back(best);
+    c->Push(best, dq);
     const double* mrow = &(*matrix_)[size_t(best) * n_];
     for (ObjectId i = 0; i < n_; ++i) {
       if (active[i]) lb[i] = std::max(lb[i], std::fabs(dq - mrow[i]));
@@ -53,30 +54,16 @@ void Aesa::RangeImpl(const ObjectView& q, double r,
   }
 }
 
+void Aesa::RangeImpl(const ObjectView& q, double r,
+                     std::vector<ObjectId>* out) const {
+  RangeCollector c{r, out};
+  Search(q, &c);
+}
+
 void Aesa::KnnImpl(const ObjectView& q, size_t k,
                    std::vector<Neighbor>* out) const {
-  DistanceComputer d = dist();
   KnnHeap heap(k);
-  std::vector<double> lb(n_, 0);
-  std::vector<bool> active = live_;
-  while (true) {
-    ObjectId best = kInvalidObjectId;
-    double best_lb = std::numeric_limits<double>::infinity();
-    for (ObjectId i = 0; i < n_; ++i) {
-      if (active[i] && lb[i] < best_lb) {
-        best_lb = lb[i];
-        best = i;
-      }
-    }
-    if (best == kInvalidObjectId || best_lb > heap.radius()) break;
-    active[best] = false;
-    double dq = d(q, data().view(best));
-    heap.Push(best, dq);
-    const double* mrow = &(*matrix_)[size_t(best) * n_];
-    for (ObjectId i = 0; i < n_; ++i) {
-      if (active[i]) lb[i] = std::max(lb[i], std::fabs(dq - mrow[i]));
-    }
-  }
+  Search(q, &heap);
   heap.TakeSorted(out);
 }
 

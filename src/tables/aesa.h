@@ -40,9 +40,10 @@ class Aesa final : public MetricIndex {
   void RemoveImpl(ObjectId id) override;
 
  private:
-  double cell(ObjectId a, ObjectId b) const {
-    return (*matrix_)[size_t(a) * n_ + b];
-  }
+  /// The one query body: successive pivoting at the collector's radius
+  /// (RangeCollector for MRQ, KnnHeap for MkNNQ).
+  template <typename Collector>
+  void Search(const ObjectView& q, Collector* c) const;
 
   uint32_t n_ = 0;
   // n x n, shared with clones; Insert copies it first while shared.

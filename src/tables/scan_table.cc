@@ -6,21 +6,6 @@
 
 namespace pmi {
 
-namespace {
-
-// MRQ's collector: the KnnHeap interface at a radius that never moves.
-struct RangeCollector {
-  double r;
-  std::vector<ObjectId>* out;
-
-  double radius() const { return r; }
-  void Push(ObjectId id, double dist) {
-    if (dist <= r) out->push_back(id);
-  }
-};
-
-}  // namespace
-
 template <typename Collector>
 void ScanTableIndex::Scan(const ObjectView& q, Collector* c) const {
   DistanceComputer d = dist();

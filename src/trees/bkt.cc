@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <queue>
 
 #include "src/core/knn_heap.h"
 
@@ -62,62 +61,48 @@ void Bkt::BuildNode(Node* node, std::vector<ObjectId> ids) {
   }
 }
 
-void Bkt::RangeImpl(const ObjectView& q, double r,
-                    std::vector<ObjectId>* out) const {
+// The one body of both query types: best-first for MkNNQ, depth-first
+// at MRQ's fixed radius, where every queued bound is <= r and the nodes
+// visited and distance calls made are the same in either order.
+template <typename Collector>
+void Bkt::Search(const ObjectView& q, Collector* c) const {
   if (!root_) return;
   DistanceComputer d = dist();
-  std::vector<const Node*> stack{root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
+  using Item = std::pair<double, const Node*>;  // (lower bound, node)
+  NodeQueue<Collector, Item> queue;
+  queue.Push({0, root_.get()});
+  while (!queue.empty()) {
+    auto [lb, node] = queue.Pop();
+    if (lb > c->radius()) break;  // best-first: nothing closer remains
     if (node->leaf) {
       for (ObjectId id : node->members) {
-        if (d.Bounded(q, data().view(id), r) <= r) out->push_back(id);
+        c->Push(id, d.Bounded(q, data().view(id), c->radius()));
       }
       continue;
     }
     // Pivot distances route into buckets, so the full value is needed.
     double dq = d(q, data().view(node->pivot));
-    if (node->pivot_live && dq <= r) out->push_back(node->pivot);
-    for (uint32_t b = 0; b < node->kids.size(); ++b) {
-      if (!node->kids[b]) continue;
-      double lo = b * bucket_width_;
-      double hi = lo + bucket_width_;
-      if (IntervalDist(dq, lo, hi) <= r) stack.push_back(node->kids[b].get());
-    }
-  }
-}
-
-void Bkt::KnnImpl(const ObjectView& q, size_t k,
-                  std::vector<Neighbor>* out) const {
-  if (!root_) return;
-  DistanceComputer d = dist();
-  KnnHeap heap(k);
-  using Item = std::pair<double, const Node*>;  // (lower bound, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.push({0, root_.get()});
-  while (!pq.empty()) {
-    auto [lb, node] = pq.top();
-    pq.pop();
-    if (lb > heap.radius()) break;  // best-first: nothing closer remains
-    if (node->leaf) {
-      for (ObjectId id : node->members) {
-        heap.Push(id, d.Bounded(q, data().view(id), heap.radius()));
-      }
-      continue;
-    }
-    double dq = d(q, data().view(node->pivot));
-    if (node->pivot_live) heap.Push(node->pivot, dq);
+    if (node->pivot_live) c->Push(node->pivot, dq);
     for (uint32_t b = 0; b < node->kids.size(); ++b) {
       if (!node->kids[b]) continue;
       double lo = b * bucket_width_;
       double hi = lo + bucket_width_;
       double child_lb = std::max(lb, IntervalDist(dq, lo, hi));
-      if (child_lb <= heap.radius()) {
-        pq.push({child_lb, node->kids[b].get()});
-      }
+      if (child_lb <= c->radius()) queue.Push({child_lb, node->kids[b].get()});
     }
   }
+}
+
+void Bkt::RangeImpl(const ObjectView& q, double r,
+                    std::vector<ObjectId>* out) const {
+  RangeCollector c{r, out};
+  Search(q, &c);
+}
+
+void Bkt::KnnImpl(const ObjectView& q, size_t k,
+                  std::vector<Neighbor>* out) const {
+  KnnHeap heap(k);
+  Search(q, &heap);
   heap.TakeSorted(out);
 }
 

@@ -50,6 +50,10 @@ class Bkt final : public MetricIndex {
     std::vector<ObjectId> members;            // leaf payload
   };
 
+  /// The one query body: a tree search at the collector's radius
+  /// (RangeCollector for MRQ, KnnHeap for MkNNQ).
+  template <typename Collector>
+  void Search(const ObjectView& q, Collector* c) const;
   uint32_t Bucket(double d) const;
   void BuildNode(Node* node, std::vector<ObjectId> ids);
   void SplitLeaf(Node* node);

@@ -76,99 +76,60 @@ size_t Fqa::UpperBound(size_t lo, size_t hi, uint32_t level,
   return a;
 }
 
-void Fqa::RangeImpl(const ObjectView& q, double r,
-                    std::vector<ObjectId>* out) const {
+// DFS with live radius pruning, the one body of both query types: an
+// MkNNQ visits runs nearest-value first inside each level to tighten its
+// radius early.  At a fixed radius (MRQ) every run inside the quantized
+// window has a bound <= r, so the same runs are verified in any order.
+template <typename Collector>
+void Fqa::Search(const ObjectView& q, Collector* c) const {
   const uint32_t l = pivots_.size();
   DistanceComputer d = dist();
   std::vector<double> phi_q;
   pivots_.Map(q, d, &phi_q);
   double step = std::max(1.0, std::ceil(metric().max_distance() / 65535.0));
-
-  struct Frame {
-    size_t lo, hi;
-    uint32_t level;
-  };
-  std::vector<Frame> stack{{0, oids_.size(), 0}};
-  while (!stack.empty()) {
-    auto [lo, hi, level] = stack.back();
-    stack.pop_back();
-    if (lo >= hi) continue;
-    if (level == l) {
-      for (size_t row = lo; row < hi; ++row) {
-        if (d.Bounded(q, data().view(oids_[row]), r) <= r) {
-          out->push_back(oids_[row]);
-        }
-      }
-      continue;
-    }
-    // Quantized window [vlo, vhi]: value v covers distances
-    // [v*step, (v+1)*step), so the window is widened conservatively.
-    double dlo = std::max(0.0, phi_q[level] - r);
-    double dhi = phi_q[level] + r;
-    uint16_t vlo = static_cast<uint16_t>(
-        std::min(65535.0, std::floor(dlo / step)));
-    uint16_t vhi = static_cast<uint16_t>(
-        std::min(65535.0, std::floor(dhi / step)));
-    // Jump between the values actually present in the window: the old
-    // value-by-value sweep ran a binary search for every integer in
-    // [vlo, vhi] -- ~65k probes per node on near-continuous quantized
-    // domains -- where the data holds only a handful of distinct runs.
-    size_t cursor = LowerBound(lo, hi, level, vlo);
-    while (cursor < hi) {
-      const uint16_t v = Coord(cursor, level);
-      if (v > vhi) break;
-      const size_t e = UpperBound(cursor, hi, level, v);
-      stack.push_back({cursor, e, level + 1});
-      cursor = e;
-    }
-  }
-}
-
-void Fqa::KnnImpl(const ObjectView& q, size_t k,
-                  std::vector<Neighbor>* out) const {
-  const uint32_t l = pivots_.size();
-  DistanceComputer d = dist();
-  std::vector<double> phi_q;
-  pivots_.Map(q, d, &phi_q);
-  double step = std::max(1.0, std::ceil(metric().max_distance() / 65535.0));
-  KnnHeap heap(k);
 
   struct Frame {
     size_t lo, hi;
     uint32_t level;
     double lb;
   };
-  // DFS with live radius pruning (runs are visited nearest-value first
-  // inside each level to tighten the radius early).
   std::vector<Frame> stack{{0, oids_.size(), 0, 0}};
+  std::vector<Frame> runs;
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
-    if (f.lo >= f.hi || f.lb > heap.radius()) continue;
+    if (f.lo >= f.hi || f.lb > c->radius()) continue;
     if (f.level == l) {
       for (size_t row = f.lo; row < f.hi; ++row) {
-        heap.Push(oids_[row],
-                  d.Bounded(q, data().view(oids_[row]), heap.radius()));
+        c->Push(oids_[row],
+                d.Bounded(q, data().view(oids_[row]), c->radius()));
       }
       continue;
     }
-    double radius = heap.radius();
+    // Quantized window [vlo, vhi]: value v covers distances
+    // [v*step, (v+1)*step), so the window is widened conservatively.  It
+    // is not clamped at max_distance(): a stored distance beyond that
+    // value still quantizes into the window it belongs to.
+    const double radius = c->radius();
     double dlo = std::max(0.0, phi_q[f.level] - radius);
-    double dhi = std::min(metric().max_distance(), phi_q[f.level] + radius);
-    uint32_t vlo = static_cast<uint32_t>(std::floor(
-        std::min(65535.0, dlo / step)));
-    uint32_t vhi = static_cast<uint32_t>(std::floor(
-        std::min(65535.0, dhi / step)));
-    // Collect runs, then push farthest-first so the nearest run is
-    // processed first (LIFO stack).
-    std::vector<Frame> runs;
-    size_t cursor = LowerBound(f.lo, f.hi, f.level,
-                               static_cast<uint16_t>(vlo));
-    while (cursor < f.hi) {  // present-values jump (see RangeImpl)
-      const uint32_t v = Coord(cursor, f.level);
+    double dhi = phi_q[f.level] + radius;
+    uint16_t vlo = static_cast<uint16_t>(
+        std::min(65535.0, std::floor(dlo / step)));
+    uint16_t vhi = static_cast<uint16_t>(
+        std::min(65535.0, std::floor(dhi / step)));
+    // Jump between the values actually present in the window -- one
+    // O(log n) probe per nonempty run instead of one binary search per
+    // integer in [vlo, vhi] (~65k per node on near-continuous quantized
+    // domains, where the data holds only a handful of distinct runs).
+    // Runs are collected, then pushed farthest-first so the nearest run
+    // is processed first (LIFO stack); at a fixed radius the order does
+    // not matter and they stay in value order.
+    runs.clear();
+    size_t cursor = LowerBound(f.lo, f.hi, f.level, vlo);
+    while (cursor < f.hi) {
+      const uint16_t v = Coord(cursor, f.level);
       if (v > vhi) break;
-      const size_t e = UpperBound(cursor, f.hi, f.level,
-                                  static_cast<uint16_t>(v));
+      const size_t e = UpperBound(cursor, f.hi, f.level, v);
       double cell_lo = v * step, cell_hi = (v + 1) * step;
       double gap = 0;
       if (phi_q[f.level] < cell_lo) gap = cell_lo - phi_q[f.level];
@@ -176,10 +137,24 @@ void Fqa::KnnImpl(const ObjectView& q, size_t k,
       runs.push_back({cursor, e, f.level + 1, std::max(f.lb, gap)});
       cursor = e;
     }
-    std::sort(runs.begin(), runs.end(),
-              [](const Frame& a, const Frame& b) { return a.lb > b.lb; });
-    for (const Frame& run : runs) stack.push_back(run);
+    if constexpr (!kFixedRadius<Collector>) {
+      std::sort(runs.begin(), runs.end(),
+                [](const Frame& a, const Frame& b) { return a.lb > b.lb; });
+    }
+    stack.insert(stack.end(), runs.begin(), runs.end());
   }
+}
+
+void Fqa::RangeImpl(const ObjectView& q, double r,
+                    std::vector<ObjectId>* out) const {
+  RangeCollector c{r, out};
+  Search(q, &c);
+}
+
+void Fqa::KnnImpl(const ObjectView& q, size_t k,
+                  std::vector<Neighbor>* out) const {
+  KnnHeap heap(k);
+  Search(q, &heap);
   heap.TakeSorted(out);
 }
 

@@ -35,6 +35,10 @@ class Fqa final : public MetricIndex {
   void RemoveImpl(ObjectId id) override;
 
  private:
+  /// The one query body: run-by-run DFS at the collector's radius
+  /// (RangeCollector for MRQ, KnnHeap for MkNNQ).
+  template <typename Collector>
+  void Search(const ObjectView& q, Collector* c) const;
   uint16_t Quantize(double d) const;
   /// Coordinate `level` of row `row`.
   uint16_t Coord(size_t row, uint32_t level) const {

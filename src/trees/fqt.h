@@ -43,6 +43,10 @@ class Fqt final : public MetricIndex {
     std::vector<ObjectId> members;
   };
 
+  /// The one query body: a tree search at the collector's radius
+  /// (RangeCollector for MRQ, KnnHeap for MkNNQ).
+  template <typename Collector>
+  void Search(const ObjectView& q, Collector* c) const;
   uint32_t Bucket(double d) const;
   void BuildNode(Node* node, std::vector<ObjectId> ids, uint32_t level);
   void InsertInto(Node* node, ObjectId id, uint32_t level);

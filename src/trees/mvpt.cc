@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
 #include "src/core/knn_heap.h"
 
@@ -59,58 +58,29 @@ void Mvpt::BuildNode(Node* node, std::vector<ObjectId> ids, uint32_t level) {
   }
 }
 
-void Mvpt::RangeImpl(const ObjectView& q, double r,
-                     std::vector<ObjectId>* out) const {
+// The one body of both query types: best-first for MkNNQ, depth-first
+// at MRQ's fixed radius, where every queued bound is <= r and the nodes
+// visited and distance calls made are the same in either order.
+template <typename Collector>
+void Mvpt::Search(const ObjectView& q, Collector* c) const {
   if (!root_) return;
   DistanceComputer d = dist();
   std::vector<double> phi_q;
   pivots_.Map(q, d, &phi_q);
-  struct Frame {
-    const Node* node;
-    uint32_t level;
-  };
-  std::vector<Frame> stack{{root_.get(), 0}};
-  while (!stack.empty()) {
-    auto [node, level] = stack.back();
-    stack.pop_back();
-    if (node->leaf) {
-      for (ObjectId id : node->members) {
-        if (d.Bounded(q, data().view(id), r) <= r) out->push_back(id);
-      }
-      continue;
-    }
-    for (uint32_t i = 0; i < node->kids.size(); ++i) {
-      if (!node->kids[i]) continue;
-      if (IntervalDist(phi_q[level], node->bounds[i], node->bounds[i + 1]) <=
-          r) {
-        stack.push_back({node->kids[i].get(), level + 1});
-      }
-    }
-  }
-}
-
-void Mvpt::KnnImpl(const ObjectView& q, size_t k,
-                   std::vector<Neighbor>* out) const {
-  if (!root_) return;
-  DistanceComputer d = dist();
-  std::vector<double> phi_q;
-  pivots_.Map(q, d, &phi_q);
-  KnnHeap heap(k);
   struct Item {
     double lb;
     const Node* node;
     uint32_t level;
     bool operator>(const Item& o) const { return lb > o.lb; }
   };
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.push({0, root_.get(), 0});
-  while (!pq.empty()) {
-    Item item = pq.top();
-    pq.pop();
-    if (item.lb > heap.radius()) break;
+  NodeQueue<Collector, Item> queue;
+  queue.Push({0, root_.get(), 0});
+  while (!queue.empty()) {
+    Item item = queue.Pop();
+    if (item.lb > c->radius()) break;
     if (item.node->leaf) {
       for (ObjectId id : item.node->members) {
-        heap.Push(id, d.Bounded(q, data().view(id), heap.radius()));
+        c->Push(id, d.Bounded(q, data().view(id), c->radius()));
       }
       continue;
     }
@@ -119,11 +89,23 @@ void Mvpt::KnnImpl(const ObjectView& q, size_t k,
       double child_lb = std::max(
           item.lb, IntervalDist(phi_q[item.level], item.node->bounds[i],
                                 item.node->bounds[i + 1]));
-      if (child_lb <= heap.radius()) {
-        pq.push({child_lb, item.node->kids[i].get(), item.level + 1});
+      if (child_lb <= c->radius()) {
+        queue.Push({child_lb, item.node->kids[i].get(), item.level + 1});
       }
     }
   }
+}
+
+void Mvpt::RangeImpl(const ObjectView& q, double r,
+                     std::vector<ObjectId>* out) const {
+  RangeCollector c{r, out};
+  Search(q, &c);
+}
+
+void Mvpt::KnnImpl(const ObjectView& q, size_t k,
+                   std::vector<Neighbor>* out) const {
+  KnnHeap heap(k);
+  Search(q, &heap);
   heap.TakeSorted(out);
 }
 

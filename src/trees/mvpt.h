@@ -58,6 +58,10 @@ class Mvpt final : public MetricIndex {
     std::vector<ObjectId> members;
   };
 
+  /// The one query body: a tree search at the collector's radius
+  /// (RangeCollector for MRQ, KnnHeap for MkNNQ).
+  template <typename Collector>
+  void Search(const ObjectView& q, Collector* c) const;
   void BuildNode(Node* node, std::vector<ObjectId> ids, uint32_t level);
   void SaveNode(const Node& node, ByteSink* out) const;
   Status LoadNode(Node* node, ByteSource* in, uint32_t depth);

@@ -1,11 +1,14 @@
 // Structural white-box tests for index internals that the black-box
 // conformance suite cannot see: EPT row invariants, FQA sort order,
 // M-index cluster-tree invariants, SPB-tree key stability and known
-// answers, CPT leaf pointers, and EPT group-size estimation.
+// answers, known MRQ/MkNNQ costs of the indexes that run both query
+// types through one body, CPT leaf pointers, and EPT group-size
+// estimation.
 
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -240,6 +243,103 @@ TEST(SpbInternalsTest, KnownAnswersAndCostsOnAFixedScript) {
   EXPECT_EQ(mrq_cost.page_accesses(), 428u);
   EXPECT_EQ(knn_cost.dist_computations, 5435u);
   EXPECT_EQ(knn_cost.page_accesses(), 382u);
+}
+
+TEST(MergedQueryBodyTest, KnownAnswersAndCostsOnAFixedScript) {
+  // Answers and per-query costs of a fixed script on the indexes whose
+  // MRQ runs their MkNNQ body at a fixed radius, recorded while each
+  // still kept a separate range traversal.  A merged body that verifies
+  // a row the range search pruned (or prunes one it verified) moves a
+  // compdists entry here.  The script: 600 Words objects, 5 shared
+  // pivots, 4 KB pages behind a one-page cache; for each query object,
+  // MRQs at r = 0, 6 (1-2% of the data) and max_distance() = 34 (all of
+  // it), then one 10-NN.  PA depends on the order, since the simulated
+  // cache carries over between queries.
+  static const ObjectId kQueries[] = {14, 56, 224, 406};
+  static const double kRadii[] = {0, 6, 34};
+  static const std::vector<ObjectId> kMidIds[] = {
+      {14, 22, 68, 173, 183, 252, 257, 284, 506, 524},
+      {56, 63, 70, 158, 255, 263, 288, 339, 347, 517, 539},
+      {38, 90, 163, 224, 320, 343},
+      {58, 313, 334, 406, 443},
+  };
+  static const std::vector<std::pair<double, ObjectId>> kKnn[] = {
+      {{0, 14}, {5, 506}, {5, 524}, {6, 22}, {6, 68}, {6, 173}, {6, 183},
+       {6, 252}, {6, 257}, {6, 284}},
+      {{0, 56}, {5, 63}, {5, 70}, {5, 517}, {6, 158}, {6, 255}, {6, 263},
+       {6, 288}, {6, 339}, {6, 347}},
+      {{0, 224}, {6, 38}, {6, 90}, {6, 163}, {6, 320}, {6, 343}, {7, 153},
+       {7, 185}, {7, 201}, {7, 350}},
+      {{0, 406}, {4, 334}, {5, 443}, {6, 58}, {6, 313}, {7, 7}, {7, 25},
+       {7, 85}, {7, 136}, {7, 202}},
+  };
+  struct Costs {
+    const char* index;
+    std::vector<uint64_t> mrq_compdists;  // per (query, radius)
+    std::vector<uint64_t> knn_compdists;  // per query
+    std::vector<uint64_t> mrq_pa;         // disk indexes only
+    std::vector<uint64_t> knn_pa;
+  };
+  static const Costs kCosts[] = {
+      {"AESA", {3, 12, 600, 3, 13, 600, 5, 10, 600, 4, 8, 600},
+       {12, 13, 16, 24}, {}, {}},
+      {"BKT", {42, 543, 600, 20, 560, 600, 21, 530, 600, 39, 539, 600},
+       {543, 560, 545, 560}, {}, {}},
+      {"FQT", {58, 464, 605, 50, 462, 605, 31, 475, 605, 48, 466, 605},
+       {464, 462, 501, 501}, {}, {}},
+      {"FQA", {6, 419, 605, 6, 415, 605, 6, 392, 605, 6, 378, 605},
+       {419, 416, 450, 430}, {}, {}},
+      {"VPT", {42, 455, 605, 24, 493, 605, 24, 475, 605, 99, 475, 605},
+       {455, 493, 512, 494}, {}, {}},
+      {"MVPT", {35, 466, 605, 27, 455, 605, 14, 455, 605, 13, 445, 605},
+       {466, 455, 480, 470}, {}, {}},
+      {"OmniSeq", {6, 419, 605, 6, 415, 605, 6, 392, 605, 6, 378, 605},
+       {453, 452, 478, 459}, {10, 10, 11, 10, 10, 11, 10, 10, 11, 9, 11, 11},
+       {11, 11, 11, 11}},
+      {"EPT*-disk", {41, 445, 640, 41, 441, 640, 41, 412, 640, 41, 410, 640},
+       {486, 484, 511, 489}, {13, 13, 14, 13, 13, 14, 13, 13, 14, 12, 14, 14},
+       {14, 14, 14, 14}},
+  };
+
+  World w(BenchDatasetId::kWords, 600);
+  ASSERT_EQ(w.bd.metric->max_distance(), kRadii[2]);
+  std::vector<ObjectId> everything(w.bd.data.size());
+  std::iota(everything.begin(), everything.end(), 0);
+  IndexOptions opts;
+  opts.cache_bytes = opts.page_size;
+  for (const Costs& want : kCosts) {
+    SCOPED_TRACE(want.index);
+    auto index = MakeIndex(want.index, opts);
+    index->Build(w.bd.data, *w.bd.metric, w.pivots);
+    std::vector<uint64_t> mrq_compdists, knn_compdists, mrq_pa, knn_pa;
+    for (size_t qi = 0; qi < std::size(kQueries); ++qi) {
+      const ObjectView q = w.bd.data.view(kQueries[qi]);
+      const std::vector<ObjectId> want_ids[] = {
+          {kQueries[qi]}, kMidIds[qi], everything};
+      for (size_t ri = 0; ri < std::size(kRadii); ++ri) {
+        std::vector<ObjectId> ids;
+        OpStats cost = index->RangeQuery(q, kRadii[ri], &ids);
+        std::sort(ids.begin(), ids.end());
+        EXPECT_EQ(ids, want_ids[ri])
+            << "MRQ of object " << kQueries[qi] << " at r = " << kRadii[ri];
+        mrq_compdists.push_back(cost.dist_computations);
+        mrq_pa.push_back(cost.page_accesses());
+      }
+      std::vector<Neighbor> nn;
+      OpStats cost = index->KnnQuery(q, 10, &nn);
+      std::vector<std::pair<double, ObjectId>> got;
+      for (const Neighbor& n : nn) got.emplace_back(n.dist, n.id);
+      EXPECT_EQ(got, kKnn[qi]) << "10-NN of object " << kQueries[qi];
+      knn_compdists.push_back(cost.dist_computations);
+      knn_pa.push_back(cost.page_accesses());
+    }
+    EXPECT_EQ(mrq_compdists, want.mrq_compdists);
+    EXPECT_EQ(knn_compdists, want.knn_compdists);
+    if (index->disk_based()) {
+      EXPECT_EQ(mrq_pa, want.mrq_pa);
+      EXPECT_EQ(knn_pa, want.knn_pa);
+    }
+  }
 }
 
 TEST(MIndexInternalsTest, ClusterSplitPreservesResults) {
