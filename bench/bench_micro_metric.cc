@@ -1,10 +1,17 @@
 // google-benchmark micro suite for the hot substrate paths on the metric
-// side: the four distance functions the paper's datasets use, the pivot
+// side: the four distance functions the paper's datasets use (edit
+// distance also on 100-byte strings and at fixed bounds), the pivot
 // mapping, and the filtering lemmas.
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "src/core/filtering.h"
+#include "src/core/metric.h"
 #include "src/core/pivot_selection.h"
 #include "src/core/pivots.h"
 #include "src/data/generators.h"
@@ -12,20 +19,66 @@
 namespace pmi {
 namespace {
 
-void BM_Distance(benchmark::State& state, BenchDatasetId id) {
-  BenchDataset bd = MakeBenchDataset(id, 1000, 1);
+// The pairs of the distance rows: 1000 objects of one benchmark dataset.
+BenchDataset Sample(BenchDatasetId id) { return MakeBenchDataset(id, 1000, 1); }
+
+// Edit-distance pairs longer than one 64-bit word: 1000 strings of 100
+// bytes over 'a'..'z', 50 copies of each of 20 random bases with up to 12
+// bytes substituted, so about one pair in twenty is a near copy (distance
+// <= 24) and the rest are unrelated.
+BenchDataset LongStrings() {
+  Rng rng(11);
+  std::vector<std::string> bases(20, std::string(100, 'a'));
+  for (std::string& base : bases) {
+    for (char& c : base) c = static_cast<char>('a' + rng() % 26);
+  }
+  Dataset data = Dataset::Strings();
+  for (uint32_t i = 0; i < 1000; ++i) {
+    std::string s = bases[i % bases.size()];
+    for (uint64_t k = rng() % 13; k > 0; --k) {
+      s[rng() % s.size()] = static_cast<char>('a' + rng() % 26);
+    }
+    data.AddString(s);
+  }
+  return BenchDataset{"Strings100", std::move(data),
+                      std::make_unique<EditDistanceMetric>(100),
+                      BenchDatasetId::kWords};
+}
+
+// One distance per iteration on a fresh random pair.
+void BM_Distance(benchmark::State& state, const BenchDataset& bd) {
   Rng rng(7);
   for (auto _ : state) {
-    ObjectId a = rng() % bd.data.size();
-    ObjectId b = rng() % bd.data.size();
-    benchmark::DoNotOptimize(
-        bd.metric->Distance(bd.data.view(a), bd.data.view(b)));
+    ObjectView a = bd.data.view(rng() % bd.data.size());
+    ObjectView b = bd.data.view(rng() % bd.data.size());
+    benchmark::DoNotOptimize(bd.metric->Distance(a, b));
   }
 }
-BENCHMARK_CAPTURE(BM_Distance, L2_2d_LA, BenchDatasetId::kLa);
-BENCHMARK_CAPTURE(BM_Distance, Edit_Words, BenchDatasetId::kWords);
-BENCHMARK_CAPTURE(BM_Distance, L1_282d_Color, BenchDatasetId::kColor);
-BENCHMARK_CAPTURE(BM_Distance, Linf_20d_Synthetic, BenchDatasetId::kSynthetic);
+BENCHMARK_CAPTURE(BM_Distance, L2_2d_LA, Sample(BenchDatasetId::kLa));
+BENCHMARK_CAPTURE(BM_Distance, Edit_Words, Sample(BenchDatasetId::kWords));
+BENCHMARK_CAPTURE(BM_Distance, Edit_100B, LongStrings());
+BENCHMARK_CAPTURE(BM_Distance, L1_282d_Color, Sample(BenchDatasetId::kColor));
+BENCHMARK_CAPTURE(BM_Distance, Linf_20d_Synthetic,
+                  Sample(BenchDatasetId::kSynthetic));
+
+// Threshold-aware verification at a fixed bound, the way a kNN or range
+// query calls it: most random pairs lie beyond the bound.
+void BM_BoundedDistance(benchmark::State& state, const BenchDataset& bd,
+                        double upper) {
+  Rng rng(7);
+  for (auto _ : state) {
+    ObjectView a = bd.data.view(rng() % bd.data.size());
+    ObjectView b = bd.data.view(rng() % bd.data.size());
+    benchmark::DoNotOptimize(bd.metric->BoundedDistance(a, b, upper));
+  }
+}
+BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_Words_2,
+                  Sample(BenchDatasetId::kWords), 2.0);
+BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_Words_4,
+                  Sample(BenchDatasetId::kWords), 4.0);
+BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_100B_2, LongStrings(), 2.0);
+BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_100B_4, LongStrings(), 4.0);
+BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_100B_16, LongStrings(), 16.0);
 
 void BM_PivotMapping(benchmark::State& state) {
   BenchDataset bd = MakeBenchDataset(BenchDatasetId::kSynthetic, 2000, 1);

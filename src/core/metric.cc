@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 namespace pmi {
@@ -141,34 +143,216 @@ double LInfMetric::BoundedDistance(const ObjectView& a, const ObjectView& b,
   return best;
 }
 
+// -- edit distance ------------------------------------------------------------
+//
+// Myers' bit-vector algorithm (JACM 1999) in Hyyro's form for global
+// Levenshtein distance.  The shorter string s is the pattern: DP column j
+// holds D[i][j] = d(s[0..i), t[0..j)) for i = 0..m, encoded as vertical
+// deltas D[i][j] - D[i-1][j] in {-1, 0, +1}, one bit per pattern row in
+// 64-row blocks (bit r of block b is row 64 b + r + 1).  Each text byte
+// advances the whole column by a constant number of word operations.
+
+namespace {
+
+// Per-byte match masks of one pattern in the calling thread's table: bit r
+// of eq(c)[b] is set when s[64 b + r] == c.  Rows are set on demand
+// (SetRows) and cleared by the destructor, so the table is all zero
+// between calls and a call pays only for the rows it reached.  A row not
+// yet set reads as a mismatch, which can only raise the values the
+// recurrence computes for it.
+class PatternMasks {
+ public:
+  explicit PatternMasks(std::string_view s)
+      : s_(s), blocks_((static_cast<uint32_t>(s.size()) + 63) / 64) {
+    thread_local std::vector<uint64_t> table;
+    if (table.size() < 256 * size_t{blocks_}) table.resize(256 * blocks_);
+    table_ = table.data();
+  }
+  ~PatternMasks() {
+    for (uint32_t i = 0; i < set_; ++i) table_[Slot(i)] = 0;
+  }
+  PatternMasks(const PatternMasks&) = delete;
+  PatternMasks& operator=(const PatternMasks&) = delete;
+
+  /// Sets the masks of pattern rows [0, rows); rows <= s.size().
+  void SetRows(uint32_t rows) {
+    for (; set_ < rows; ++set_) {
+      table_[Slot(set_)] |= uint64_t{1} << (set_ % 64);
+    }
+  }
+  uint32_t blocks() const { return blocks_; }
+  /// The masks of text byte c, one word per block.
+  const uint64_t* eq(char c) const {
+    return table_ + size_t{static_cast<unsigned char>(c)} * blocks_;
+  }
+
+ private:
+  size_t Slot(uint32_t i) const {
+    return size_t{static_cast<unsigned char>(s_[i])} * blocks_ + i / 64;
+  }
+
+  std::string_view s_;
+  uint32_t blocks_;
+  uint32_t set_ = 0;  // rows [0, set_) hold their bits
+  uint64_t* table_ = nullptr;
+};
+
+// Horizontal deltas of one block after a column step: bit r of ph (mh)
+// is set when row 64 b + r -- the row *above* bit r -- gained (lost) one
+// against the previous column; bit 0 is the delta entering from above.
+struct ColumnStep {
+  uint64_t ph, mh;
+  int hout;  // horizontal delta of the row marked by `last`
+};
+
+// Advances one 64-row block by one text byte.  `pv`/`mv` hold the block's
+// vertical +1/-1 deltas; `eq` flags the rows matching the byte; `hin` in
+// {-1, 0, +1} is the horizontal delta of the row above the block (+1 for
+// the first block: D[0][j] = j).  The carry-in follows Hyyro (2003) and
+// edlib: a -1 from above acts as a match on the block's first row.
+inline ColumnStep Advance(uint64_t eq, int hin, uint64_t last, uint64_t& pv,
+                          uint64_t& mv) {
+  const uint64_t hin_neg = hin < 0;
+  const uint64_t xv = eq | mv;
+  eq |= hin_neg;
+  const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+  uint64_t ph = mv | ~(xh | pv);
+  uint64_t mh = pv & xh;
+  const int hout = int((ph & last) != 0) - int((mh & last) != 0);
+  ph = (ph << 1) | uint64_t{hin > 0};
+  mh = (mh << 1) | hin_neg;
+  pv = mh | ~(xv | ph);
+  mv = ph & xv;
+  return {ph, mh, hout};
+}
+
+constexpr uint64_t kBottomRow = uint64_t{1} << 63;
+
+// Vertical deltas of one block; the defaults are column 0 (D[i][0] = i).
+struct BlockDeltas {
+  uint64_t pv = ~uint64_t{0};
+  uint64_t mv = 0;
+};
+
+// The calling thread's blocks, reset to column 0.
+BlockDeltas* ColumnZero(uint32_t nb) {
+  thread_local std::vector<BlockDeltas> blocks;
+  blocks.assign(nb, BlockDeltas{});
+  return blocks.data();
+}
+
+// D[m][n] for m >= 1: every column runs every block, chaining the
+// horizontal delta leaving each block's bottom row into the next; the score
+// follows row m.
+uint32_t FullDistance(std::string_view s, std::string_view t) {
+  const uint32_t m = static_cast<uint32_t>(s.size());
+  PatternMasks p(s);
+  p.SetRows(m);
+  const uint32_t nb = p.blocks();
+  const uint64_t last = uint64_t{1} << ((m - 1) % 64);  // row m's bit
+  uint32_t score = m;  // D[m][0]
+  if (nb == 1) {
+    uint64_t pv = ~uint64_t{0}, mv = 0;
+    for (char c : t) score += Advance(*p.eq(c), 1, last, pv, mv).hout;
+    return score;
+  }
+  BlockDeltas* blocks = ColumnZero(nb);
+  BlockDeltas& tail = blocks[nb - 1];
+  for (char c : t) {
+    const uint64_t* eq = p.eq(c);
+    int h = 1;
+    for (uint32_t b = 0; b + 1 < nb; ++b) {
+      h = Advance(eq[b], h, kBottomRow, blocks[b].pv, blocks[b].mv).hout;
+    }
+    score += Advance(eq[nb - 1], h, last, tail.pv, tail.mv).hout;
+  }
+  return score;
+}
+
+// D[i][j] - D[i-1][j-1] for the row i at `bit` of a block that has just
+// taken `step`: row i's new vertical delta plus row i - 1's horizontal one.
+inline uint32_t DiagonalStep(uint64_t bit, uint64_t pv, uint64_t mv,
+                             const ColumnStep& step) {
+  return uint32_t((pv & bit) != 0) - uint32_t((mv & bit) != 0) +
+         uint32_t((step.ph & bit) != 0) - uint32_t((step.mh & bit) != 0);
+}
+
+// min(D[m][n], kb + 1) for 1 <= m <= n and n - m <= kb.  Every path from
+// (0, 0) to (m, n) crosses column j at some row i and still costs at least
+// |(n - j) - (m - i)| from there; as D changes by at most 1 down a column,
+// that total is at least g_j = D[j - (n - m)][j], the cell on the diagonal
+// that ends at (m, n).  So g_j > kb proves d > kb, and g_n = D[m][n].  The
+// kernel tracks g_j one diagonal step per column and stops with kb + 1 as
+// soon as it exceeds kb.
+//
+// Past one word, only the blocks meeting Ukkonen's band run, and only the
+// pattern rows the band has reached hold their match masks: a cell on a
+// path of cost <= kb has j - i <= (kb + n - m) / 2 and
+// i - j <= (kb - n + m) / 2.  Cells outside the band hold over-estimates
+// (the row above the first live block grows by one per column; a block
+// joining at the bottom keeps its column-0 deltas, +1 per row).  Every
+// value stays >= the true D and equals it on any path of cost <= kb, and
+// the computed column still changes by at most 1 per row, so g_j > kb
+// still proves d > kb.
+uint32_t BoundedDistanceKernel(std::string_view s, std::string_view t,
+                               uint32_t kb) {
+  const uint32_t m = static_cast<uint32_t>(s.size());
+  const uint32_t n = static_cast<uint32_t>(t.size());
+  PatternMasks p(s);
+  const uint32_t shift = n - m;  // the end diagonal: row i = j - shift
+  uint32_t g = shift;  // D[0][shift]
+  if (p.blocks() == 1) {
+    uint64_t pv = ~uint64_t{0}, mv = 0;
+    uint64_t bit = 1;
+    p.SetRows(m);
+    for (uint32_t j = 1; j <= n; ++j) {
+      const ColumnStep step =
+          Advance(*p.eq(t[j - 1]), 1, kBottomRow, pv, mv);
+      if (j > shift) {
+        g += DiagonalStep(bit, pv, mv, step);
+        if (g > kb) return kb + 1;
+        bit <<= 1;
+      }
+    }
+    return g;
+  }
+  // The band: rows [j - above, j + below] of column j.
+  const uint32_t above = (kb + shift) / 2;
+  const uint32_t below = (kb - shift) / 2;
+  BlockDeltas* blocks = ColumnZero(p.blocks());
+  for (uint32_t j = 1; j <= n; ++j) {
+    const uint32_t hi = std::min(m, j + below);
+    p.SetRows(hi);
+    const uint32_t first = j > above ? (j - above - 1) / 64 : 0;
+    const uint32_t live = (hi - 1) / 64;
+    // The diagonal's row j - shift (bit index j - shift - 1) once it has
+    // left row 0, where D[0][shift] = shift is exact.
+    const bool diag = j > shift;
+    const uint32_t drow = j - shift - 1;
+    const uint64_t* eq = p.eq(t[j - 1]);
+    int h = 1;
+    for (uint32_t b = first; b <= live; ++b) {
+      BlockDeltas& blk = blocks[b];
+      const ColumnStep step = Advance(eq[b], h, kBottomRow, blk.pv, blk.mv);
+      h = step.hout;
+      if (diag && drow / 64 == b) {
+        g += DiagonalStep(uint64_t{1} << (drow % 64), blk.pv, blk.mv, step);
+      }
+    }
+    if (g > kb) return kb + 1;
+  }
+  return g;
+}
+
+}  // namespace
+
 double EditDistanceMetric::Distance(const ObjectView& a,
                                     const ObjectView& b) const {
   assert(a.kind == ObjectKind::kString && b.kind == ObjectKind::kString);
-  // Standard two-row Levenshtein DP.  The shorter string indexes the rows
-  // to keep the working set minimal; distances here are small (<= 34 for
-  // Words), so no banding is needed for correctness or speed.
   std::string_view s = a.AsString(), t = b.AsString();
   if (s.size() > t.size()) std::swap(s, t);
-  const uint32_t m = static_cast<uint32_t>(s.size());
-  const uint32_t n = static_cast<uint32_t>(t.size());
-  if (m == 0) return n;
-
-  // Thread-local scratch avoids per-call allocation on the hot path.
-  thread_local std::vector<uint32_t> row;
-  row.resize(m + 1);
-  for (uint32_t i = 0; i <= m; ++i) row[i] = i;
-  for (uint32_t j = 1; j <= n; ++j) {
-    uint32_t prev = row[0];  // DP[j-1][0]
-    row[0] = j;
-    const char tj = t[j - 1];
-    for (uint32_t i = 1; i <= m; ++i) {
-      uint32_t cur = row[i];  // DP[j-1][i]
-      uint32_t subst = prev + (s[i - 1] != tj);
-      row[i] = std::min({row[i - 1] + 1, cur + 1, subst});
-      prev = cur;
-    }
-  }
-  return row[m];
+  if (s.empty()) return static_cast<double>(t.size());
+  return FullDistance(s, t);
 }
 
 double EditDistanceMetric::BoundedDistance(const ObjectView& a,
@@ -180,50 +364,16 @@ double EditDistanceMetric::BoundedDistance(const ObjectView& a,
   const uint32_t m = static_cast<uint32_t>(s.size());
   const uint32_t n = static_cast<uint32_t>(t.size());
 
-  // Integer distances: d <= upper iff d <= floor(upper).  A band at least
-  // as wide as the string leaves nothing to cut -- delegate to the plain
-  // DP (also covers upper = +inf from an unfilled kNN heap).
+  // Integer distances: d <= upper iff d <= floor(upper).  A bound of at
+  // least n cannot cut anything (d <= n) -- delegate to Distance (also
+  // covers upper = +inf from an unfilled kNN heap).
   if (!(upper < n)) return Distance(a, b);
   const uint32_t kb =
       upper < 0 ? 0 : static_cast<uint32_t>(std::floor(upper));
   // Length-difference lower bound (also disposes of m == 0: that needs
   // n <= kb, impossible with kb = floor(upper) < n).
   if (n - m > kb) return n - m;
-
-  // Ukkonen band: only cells with |i - j| <= kb can lie on an edit path
-  // of cost <= kb, so each DP column j touches rows [j-kb, j+kb].  kCut
-  // (= kb + 1) saturates every out-of-band or over-threshold value; when
-  // the in-band column minimum reaches it, no path of cost <= kb remains
-  // and the scan aborts with a "> upper" verdict.
-  const uint32_t kCut = kb + 1;
-  thread_local std::vector<uint32_t> row;
-  row.resize(m + 1);
-  for (uint32_t i = 0; i <= m; ++i) row[i] = i <= kb ? i : kCut;
-  for (uint32_t j = 1; j <= n; ++j) {
-    const uint32_t lo = j > kb ? j - kb : 1;
-    const uint32_t hi = std::min(m, j + kb);
-    uint32_t prev;  // DP[j-1][lo-1]
-    if (lo == 1) {
-      prev = row[0];
-      row[0] = std::min(j, kCut);
-    } else {
-      prev = row[lo - 1];
-      row[lo - 1] = kCut;  // cell (j, lo-1) leaves the band
-    }
-    uint32_t col_min = lo == 1 ? row[0] : kCut;
-    const char tj = t[j - 1];
-    for (uint32_t i = lo; i <= hi; ++i) {
-      // DP[j-1][i] sits outside column j-1's band when i = j + kb.
-      uint32_t cur = i >= j + kb ? kCut : row[i];
-      uint32_t subst = prev + (s[i - 1] != tj);
-      uint32_t val = std::min({row[i - 1] + 1, cur + 1, subst});
-      row[i] = std::min(val, kCut);
-      prev = cur;
-      col_min = std::min(col_min, row[i]);
-    }
-    if (col_min >= kCut) return kCut;  // no path of cost <= kb survives
-  }
-  return row[m];  // <= kb means exact; kCut means "> upper"
+  return BoundedDistanceKernel(s, t, kb);
 }
 
 }  // namespace pmi

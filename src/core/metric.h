@@ -33,7 +33,8 @@ class Metric {
   /// pruning, kNN radius tests) get the same decisions as with Distance at
   /// a fraction of the cost: the vector norms early-abandon their
   /// accumulation, L2 compares squared sums and defers the sqrt to the
-  /// success case, and edit distance runs a Ukkonen-style banded DP.
+  /// success case, and edit distance stops its bit-parallel column scan
+  /// once the cell on the diagonal ending at (m, n) exceeds the bound.
   virtual double BoundedDistance(const ObjectView& a, const ObjectView& b,
                                  double upper) const {
     (void)upper;
@@ -108,6 +109,14 @@ class LInfMetric final : public Metric {
 
 /// Levenshtein edit distance over strings; used for the Words dataset.
 /// Discrete, with d+ = the maximum string length in the domain.
+///
+/// Both calls run one kernel: Myers' bit-vector algorithm in Hyyro's form,
+/// the shorter string as the pattern, one 64-bit word per 64 pattern bytes,
+/// so a text byte costs a constant number of word operations per block.
+/// With m <= n the string lengths and kb = floor(upper) (0 when upper < 0),
+/// BoundedDistance returns exactly Distance when upper >= n, n - m when
+/// n - m > kb, and min(d, kb + 1) otherwise: its "> upper" values are
+/// exactly n - m or kb + 1.
 class EditDistanceMetric final : public Metric {
  public:
   explicit EditDistanceMetric(uint32_t max_len) : max_(max_len) {}

@@ -9,12 +9,17 @@
 // Every verification site in the library relies on this equivalence: the
 // conformance suite only proves end-to-end agreement, while these tests
 // pin the kernel-level contract directly, including adversarial bounds
-// sitting exactly on the true distance.
+// sitting exactly on the true distance.  Edit distance is also checked
+// bit for bit against an independent full-matrix DP.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -160,6 +165,125 @@ TEST(BoundedEditDistanceTest, RandomizedStringsAllBands) {
             << '"' << a << "\" vs \"" << b << "\" ub=" << ub;
       }
     }
+  }
+}
+
+// -- independent oracle -------------------------------------------------------
+//
+// The kernel is checked against a textbook full-matrix Levenshtein DP that
+// shares no code with it.  BoundedDistance is pinned to one exact return
+// value for every bound, not just to the "<= upper / > upper" contract:
+// with kb = floor(upper) (0 for a negative bound) and m <= n,
+//
+//   upper >= n (or NaN)  ->  d
+//   n - m > kb           ->  n - m
+//   otherwise            ->  min(d, kb + 1)
+
+uint32_t ReferenceLevenshtein(std::string_view a, std::string_view b) {
+  std::vector<std::vector<uint32_t>> d(a.size() + 1,
+                                       std::vector<uint32_t>(b.size() + 1));
+  for (size_t i = 0; i <= a.size(); ++i) d[i][0] = static_cast<uint32_t>(i);
+  for (size_t j = 0; j <= b.size(); ++j) d[0][j] = static_cast<uint32_t>(j);
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + (a[i - 1] != b[j - 1])});
+    }
+  }
+  return d[a.size()][b.size()];
+}
+
+double ExpectedBounded(uint32_t d, size_t len_a, size_t len_b,
+                       double upper) {
+  const uint32_t m = static_cast<uint32_t>(std::min(len_a, len_b));
+  const uint32_t n = static_cast<uint32_t>(std::max(len_a, len_b));
+  if (!(upper < n)) return d;
+  const uint32_t kb =
+      upper < 0 ? 0 : static_cast<uint32_t>(std::floor(upper));
+  if (n - m > kb) return n - m;
+  return std::min(d, kb + 1);
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// Checks Distance and BoundedDistance, both argument orders, at bounds -1,
+// +inf, every integer 0..n+1 and every k + 0.5 in between.
+void CheckAgainstOracle(const EditDistanceMetric& metric, std::string_view a,
+                        std::string_view b) {
+  const uint32_t d = ReferenceLevenshtein(a, b);
+  const ObjectView va = ObjectView::FromString(a);
+  const ObjectView vb = ObjectView::FromString(b);
+  const auto where = [&] {
+    return ::testing::Message() << "|a|=" << a.size() << " |b|=" << b.size()
+                                << " d=" << d;
+  };
+  ASSERT_TRUE(SameBits(metric.Distance(va, vb), double(d))) << where();
+  ASSERT_TRUE(SameBits(metric.Distance(vb, va), double(d))) << where();
+  std::vector<double> bounds = {-1.0, std::numeric_limits<double>::infinity()};
+  const size_t n = std::max(a.size(), b.size());
+  for (size_t k = 0; k <= n + 1; ++k) {
+    bounds.push_back(double(k));
+    bounds.push_back(k + 0.5);
+  }
+  for (double upper : bounds) {
+    const double want = ExpectedBounded(d, a.size(), b.size(), upper);
+    ASSERT_TRUE(SameBits(metric.BoundedDistance(va, vb, upper), want))
+        << where() << " upper=" << upper << " got "
+        << metric.BoundedDistance(va, vb, upper) << " want " << want;
+    ASSERT_TRUE(SameBits(metric.BoundedDistance(vb, va, upper), want))
+        << where() << " upper=" << upper << " (swapped)";
+  }
+}
+
+TEST(EditDistanceOracleTest, RandomStringsEveryLengthByteAndBound) {
+  // Lengths straddle the 64-row block edges; alphabets of 2 and 4 give
+  // long matching runs, and all 256 byte values cover '\0' and bytes
+  // >= 0x80 (a signed-char table index would read out of bounds).  Half
+  // of the pairs are edited copies, so small distances between long
+  // strings -- the case the band and the early stop serve -- are common.
+  EditDistanceMetric metric(200);
+  Rng rng(90210);
+  const std::vector<uint32_t> edge_lengths = {0,  1,  2,  31, 63, 64,
+                                              65, 100, 127, 128, 129, 200};
+  auto pick_length = [&] {
+    return rng() % 2 ? edge_lengths[rng() % edge_lengths.size()]
+                     : static_cast<uint32_t>(rng() % 201);
+  };
+  for (uint32_t alphabet : {2u, 4u, 256u}) {
+    auto random_byte = [&] { return static_cast<char>(rng() % alphabet); };
+    for (int trial = 0; trial < 150; ++trial) {
+      std::string a(pick_length(), '\0');
+      for (char& c : a) c = random_byte();
+      std::string b;
+      if (trial % 2 == 0) {
+        b.assign(pick_length(), '\0');
+        for (char& c : b) c = random_byte();
+      } else {
+        b = a;
+        for (uint64_t e = rng() % 9; e > 0; --e) {
+          const size_t at = rng() % (b.size() + 1);
+          switch (rng() % 3) {
+            case 0: b.insert(b.begin() + at, random_byte()); break;
+            case 1: if (at < b.size()) b.erase(at, 1); break;
+            default: if (at < b.size()) b[at] = random_byte(); break;
+          }
+        }
+      }
+      CheckAgainstOracle(metric, a, b);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EditDistanceOracleTest, WordsPairs) {
+  BenchDataset bd = MakeBenchDataset(BenchDatasetId::kWords, 300, /*seed=*/8);
+  EditDistanceMetric metric(34);
+  for (ObjectId i = 0; i + 1 < bd.data.size(); i += 2) {
+    CheckAgainstOracle(metric, bd.data.view(i).AsString(),
+                       bd.data.view(i + 1).AsString());
+    if (HasFatalFailure()) return;
   }
 }
 

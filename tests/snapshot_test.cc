@@ -143,6 +143,64 @@ TEST(SnapshotRoundTripTest, StringDatasetRoundTrips) {
   std::remove(path.c_str());
 }
 
+// BKT, FQT and FQA persist no state of their own: Open rebuilds them from
+// the snapshot's dataset.  The rebuilt index must answer every query of a
+// fixed set with the same ids, the same neighbours and the same compdists
+// as the instance that was saved.
+class SnapshotWordsRebuildTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SnapshotWordsRebuildTest, RoundTripsQueryByQuery) {
+  const std::string& index = GetParam();
+  Dataset words = MakeWordsLike(1200, /*seed=*/17);
+  auto built = MetricDB::Create(
+      MetricDBConfig().WithMetric("edit").WithIndex(index).WithPivots(3),
+      words);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string path = TempPath("words_" + index);
+  ASSERT_TRUE(built->Save(path).ok());
+  auto reopened = MetricDB::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_FALSE(reopened->restored_from_snapshot());
+  EXPECT_EQ(reopened->build_stats().dist_computations,
+            built->build_stats().dist_computations);
+
+  for (ObjectId i = 0; i < 24; ++i) {
+    const ObjectId id = i * 53 % words.size();
+    // The reopened side queries with its own copy of the object.
+    const ObjectView q0 = words.view(id);
+    const ObjectView q1 = reopened->dataset().view(id);
+    for (double r : {1.0, 2.0, 3.0}) {
+      auto a = built->RangeQuery(q0, r);
+      auto b = reopened->RangeQuery(q1, r);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(b->ids, a->ids) << index << " query " << id << " r=" << r;
+      EXPECT_EQ(b->stats.dist_computations, a->stats.dist_computations)
+          << index << " query " << id << " r=" << r;
+    }
+    auto a = built->KnnQuery(q0, 8);
+    auto b = reopened->KnnQuery(q1, 8);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(b->neighbors.size(), 1u);
+    ASSERT_EQ(b->neighbors[0].size(), a->neighbors[0].size());
+    for (size_t j = 0; j < a->neighbors[0].size(); ++j) {
+      EXPECT_EQ(b->neighbors[0][j].id, a->neighbors[0][j].id)
+          << index << " query " << id << " rank " << j;
+      EXPECT_EQ(b->neighbors[0][j].dist, a->neighbors[0][j].dist)
+          << index << " query " << id << " rank " << j;
+    }
+    EXPECT_EQ(b->stats.dist_computations, a->stats.dist_computations)
+        << index << " query " << id << " kNN";
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(RebuildOnOpen, SnapshotWordsRebuildTest,
+                         ::testing::Values("BKT", "FQT", "FQA"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
 TEST(SnapshotRoundTripTest, UpdatesSurviveTheRoundTrip) {
   // Persistence must capture the CURRENT state, not the built state:
   // remove some objects, snapshot, and check the hole is still there.
