@@ -1,7 +1,7 @@
 // google-benchmark micro suite for the hot substrate paths on the metric
 // side: the four distance functions the paper's datasets use (edit
-// distance also on 100-byte strings and at fixed bounds), the pivot
-// mapping, and the filtering lemmas.
+// distance also on 100-byte strings, at fixed bounds, and query-major as
+// a scan verifies), the pivot mapping, and the filtering lemmas.
 
 #include <memory>
 #include <string>
@@ -79,6 +79,57 @@ BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_Words_4,
 BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_100B_2, LongStrings(), 2.0);
 BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_100B_4, LongStrings(), 4.0);
 BENCHMARK_CAPTURE(BM_BoundedDistance, Edit_100B_16, LongStrings(), 16.0);
+
+// Query-major verification, the way an index scan calls it: one query
+// as the first argument against each of the 1000 objects in turn, then
+// the next query.  The random-pair rows above never meet the same
+// pattern twice; these reuse the query's match masks for 1000 calls.
+class QueryMajorPairs {
+ public:
+  explicit QueryMajorPairs(const BenchDataset& bd)
+      : bd_(bd), q_(bd.data.view(rng_() % bd.data.size())) {}
+
+  const ObjectView& query() const { return q_; }
+  /// The next object; moves to a fresh query after the last one.
+  ObjectView Next() {
+    const ObjectView o = bd_.data.view(next_);
+    if (++next_ == bd_.data.size()) {
+      next_ = 0;
+      q_ = bd_.data.view(rng_() % bd_.data.size());
+    }
+    return o;
+  }
+
+ private:
+  const BenchDataset& bd_;
+  Rng rng_{7};
+  ObjectView q_;
+  ObjectId next_ = 0;
+};
+
+void BM_QueryMajorDistance(benchmark::State& state, const BenchDataset& bd) {
+  QueryMajorPairs pairs(bd);
+  for (auto _ : state) {
+    const ObjectView o = pairs.Next();
+    benchmark::DoNotOptimize(bd.metric->Distance(pairs.query(), o));
+  }
+}
+BENCHMARK_CAPTURE(BM_QueryMajorDistance, Edit_Words_query,
+                  Sample(BenchDatasetId::kWords));
+
+void BM_QueryMajorBoundedDistance(benchmark::State& state,
+                                  const BenchDataset& bd, double upper) {
+  QueryMajorPairs pairs(bd);
+  for (auto _ : state) {
+    const ObjectView o = pairs.Next();
+    benchmark::DoNotOptimize(
+        bd.metric->BoundedDistance(pairs.query(), o, upper));
+  }
+}
+BENCHMARK_CAPTURE(BM_QueryMajorBoundedDistance, Edit_Words_query_2,
+                  Sample(BenchDatasetId::kWords), 2.0);
+BENCHMARK_CAPTURE(BM_QueryMajorBoundedDistance, Edit_Words_query_4,
+                  Sample(BenchDatasetId::kWords), 4.0);
 
 void BM_PivotMapping(benchmark::State& state) {
   BenchDataset bd = MakeBenchDataset(BenchDatasetId::kSynthetic, 2000, 1);

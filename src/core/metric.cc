@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -146,35 +147,40 @@ double LInfMetric::BoundedDistance(const ObjectView& a, const ObjectView& b,
 // -- edit distance ------------------------------------------------------------
 //
 // Myers' bit-vector algorithm (JACM 1999) in Hyyro's form for global
-// Levenshtein distance.  The shorter string s is the pattern: DP column j
-// holds D[i][j] = d(s[0..i), t[0..j)) for i = 0..m, encoded as vertical
-// deltas D[i][j] - D[i-1][j] in {-1, 0, +1}, one bit per pattern row in
-// 64-row blocks (bit r of block b is row 64 b + r + 1).  Each text byte
-// advances the whole column by a constant number of word operations.
+// Levenshtein distance.  One string s is the pattern: DP column j holds
+// D[i][j] = d(s[0..i), t[0..j)) for i = 0..m, encoded as vertical deltas
+// D[i][j] - D[i-1][j] in {-1, 0, +1}, one bit per pattern row in 64-row
+// blocks (bit r of block b is row 64 b + r + 1).  Each text byte advances
+// the whole column by a constant number of word operations.
+//
+// The pattern is whichever argument the calling thread's table already
+// holds, else the first one.  Index queries pass the query first, so a
+// scan sets the query's masks once and verifies every candidate against
+// them.  The kernels need no order of the lengths.
 
 namespace {
 
-// Per-byte match masks of one pattern in the calling thread's table: bit r
-// of eq(c)[b] is set when s[64 b + r] == c.  Rows are set on demand
-// (SetRows) and cleared by the destructor, so the table is all zero
-// between calls and a call pays only for the rows it reached.  A row not
-// yet set reads as a mismatch, which can only raise the values the
-// recurrence computes for it.
-class PatternMasks {
+// The calling thread's per-byte match masks of one held pattern: bit r of
+// eq(c)[b] is set when s[64 b + r] == c.  Rows are set on demand (SetRows)
+// and stay set until another pattern is loaded, so the calls of one scan
+// share them; a row not yet set reads as a mismatch, which can only raise
+// the values the recurrence computes for it.  The table keeps a copy of
+// the pattern's bytes: a call matches by content, never by address, so a
+// buffer rewritten in place is a new pattern.
+class PatternTable {
  public:
-  explicit PatternMasks(std::string_view s)
-      : s_(s), blocks_((static_cast<uint32_t>(s.size()) + 63) / 64) {
-    thread_local std::vector<uint64_t> table;
-    if (table.size() < 256 * size_t{blocks_}) table.resize(256 * blocks_);
-    table_ = table.data();
-  }
-  ~PatternMasks() {
-    for (uint32_t i = 0; i < set_; ++i) table_[Slot(i)] = 0;
-  }
-  PatternMasks(const PatternMasks&) = delete;
-  PatternMasks& operator=(const PatternMasks&) = delete;
+  bool Holds(std::string_view s) const { return s == bytes_; }
 
-  /// Sets the masks of pattern rows [0, rows); rows <= s.size().
+  /// Clears the held pattern's rows and holds `s` with no rows set.
+  void Load(std::string_view s) {
+    for (uint32_t i = 0; i < set_; ++i) table_[Slot(i)] = 0;
+    bytes_.assign(s);
+    blocks_ = (static_cast<uint32_t>(s.size()) + 63) / 64;
+    set_ = 0;
+    if (table_.size() < 256 * size_t{blocks_}) table_.resize(256 * blocks_);
+  }
+
+  /// Sets the masks of pattern rows [0, rows); rows <= pattern size.
   void SetRows(uint32_t rows) {
     for (; set_ < rows; ++set_) {
       table_[Slot(set_)] |= uint64_t{1} << (set_ % 64);
@@ -183,19 +189,34 @@ class PatternMasks {
   uint32_t blocks() const { return blocks_; }
   /// The masks of text byte c, one word per block.
   const uint64_t* eq(char c) const {
-    return table_ + size_t{static_cast<unsigned char>(c)} * blocks_;
+    return table_.data() + size_t{static_cast<unsigned char>(c)} * blocks_;
   }
 
  private:
   size_t Slot(uint32_t i) const {
-    return size_t{static_cast<unsigned char>(s_[i])} * blocks_ + i / 64;
+    return size_t{static_cast<unsigned char>(bytes_[i])} * blocks_ + i / 64;
   }
 
-  std::string_view s_;
-  uint32_t blocks_;
+  std::string bytes_;
+  uint32_t blocks_ = 0;
   uint32_t set_ = 0;  // rows [0, set_) hold their bits
-  uint64_t* table_ = nullptr;
+  std::vector<uint64_t> table_;
 };
+
+// Orders the non-empty strings (s, t) as (pattern, text) and returns the
+// calling thread's table holding the pattern: the side it already holds,
+// else s, which it then loads.
+PatternTable& HoldPattern(std::string_view& s, std::string_view& t) {
+  thread_local PatternTable table;
+  if (!table.Holds(s)) {
+    if (table.Holds(t)) {
+      std::swap(s, t);
+    } else {
+      table.Load(s);
+    }
+  }
+  return table;
+}
 
 // Horizontal deltas of one block after a column step: bit r of ph (mh)
 // is set when row 64 b + r -- the row *above* bit r -- gained (lost) one
@@ -241,12 +262,12 @@ BlockDeltas* ColumnZero(uint32_t nb) {
   return blocks.data();
 }
 
-// D[m][n] for m >= 1: every column runs every block, chaining the
-// horizontal delta leaving each block's bottom row into the next; the score
-// follows row m.
-uint32_t FullDistance(std::string_view s, std::string_view t) {
+// D[m][n] for m >= 1, with p holding s: every column runs every block,
+// chaining the horizontal delta leaving each block's bottom row into the
+// next; the score follows row m.
+uint32_t FullDistance(PatternTable& p, std::string_view s,
+                      std::string_view t) {
   const uint32_t m = static_cast<uint32_t>(s.size());
-  PatternMasks p(s);
   p.SetRows(m);
   const uint32_t nb = p.blocks();
   const uint64_t last = uint64_t{1} << ((m - 1) % 64);  // row m's bit
@@ -277,38 +298,42 @@ inline uint32_t DiagonalStep(uint64_t bit, uint64_t pv, uint64_t mv,
          uint32_t((step.ph & bit) != 0) - uint32_t((step.mh & bit) != 0);
 }
 
-// min(D[m][n], kb + 1) for 1 <= m <= n and n - m <= kb.  Every path from
-// (0, 0) to (m, n) crosses column j at some row i and still costs at least
-// |(n - j) - (m - i)| from there; as D changes by at most 1 down a column,
-// that total is at least g_j = D[j - (n - m)][j], the cell on the diagonal
-// that ends at (m, n).  So g_j > kb proves d > kb, and g_n = D[m][n].  The
-// kernel tracks g_j one diagonal step per column and stops with kb + 1 as
-// soon as it exceeds kb.
+// min(D[m][n], kb + 1) for m, n >= 1 and |n - m| <= kb, with p holding
+// s.  Every path from (0, 0) to (m, n) crosses column j at some row i and
+// still costs at least |(n - j) - (m - i)| from there; as D changes by at
+// most 1 down a column, that total is at least g_j = D[j - (n - m)][j],
+// the cell on the diagonal that ends at (m, n).  So g_j > kb proves
+// d > kb, and g_n = D[m][n].  The kernel tracks g_j one diagonal step per
+// column and stops with kb + 1 as soon as it exceeds kb.
 //
 // Past one word, only the blocks meeting Ukkonen's band run, and only the
-// pattern rows the band has reached hold their match masks: a cell on a
-// path of cost <= kb has j - i <= (kb + n - m) / 2 and
+// pattern rows the band has reached are sure to hold their match masks: a
+// cell on a path of cost <= kb has j - i <= (kb + n - m) / 2 and
 // i - j <= (kb - n + m) / 2.  Cells outside the band hold over-estimates
 // (the row above the first live block grows by one per column; a block
-// joining at the bottom keeps its column-0 deltas, +1 per row).  Every
+// joining at the bottom keeps its column-0 deltas, +1 per row; a row whose
+// mask is not set reads as a mismatch, and one left set by an earlier
+// call holds its exact mask, which never under-estimates a cell).  Every
 // value stays >= the true D and equals it on any path of cost <= kb, and
 // the computed column still changes by at most 1 per row, so g_j > kb
 // still proves d > kb.
-uint32_t BoundedDistanceKernel(std::string_view s, std::string_view t,
-                               uint32_t kb) {
+uint32_t BoundedDistanceKernel(PatternTable& p, std::string_view s,
+                               std::string_view t, uint32_t kb) {
   const uint32_t m = static_cast<uint32_t>(s.size());
   const uint32_t n = static_cast<uint32_t>(t.size());
-  PatternMasks p(s);
-  const uint32_t shift = n - m;  // the end diagonal: row i = j - shift
-  uint32_t g = shift;  // D[0][shift]
+  // The end diagonal, row i = j - shift, enters the matrix at
+  // D[0][shift] = shift or D[-shift][0] = -shift; columns j > shift then
+  // step it down one row each.
+  const int64_t shift = int64_t{n} - int64_t{m};
+  uint32_t g = static_cast<uint32_t>(shift < 0 ? -shift : shift);
   if (p.blocks() == 1) {
     uint64_t pv = ~uint64_t{0}, mv = 0;
-    uint64_t bit = 1;
+    uint64_t bit = uint64_t{1} << (shift < 0 ? -shift : 0);
     p.SetRows(m);
     for (uint32_t j = 1; j <= n; ++j) {
       const ColumnStep step =
           Advance(*p.eq(t[j - 1]), 1, kBottomRow, pv, mv);
-      if (j > shift) {
+      if (int64_t{j} > shift) {
         g += DiagonalStep(bit, pv, mv, step);
         if (g > kb) return kb + 1;
         bit <<= 1;
@@ -317,8 +342,8 @@ uint32_t BoundedDistanceKernel(std::string_view s, std::string_view t,
     return g;
   }
   // The band: rows [j - above, j + below] of column j.
-  const uint32_t above = (kb + shift) / 2;
-  const uint32_t below = (kb - shift) / 2;
+  const uint32_t above = static_cast<uint32_t>((kb + shift) / 2);
+  const uint32_t below = static_cast<uint32_t>((kb - shift) / 2);
   BlockDeltas* blocks = ColumnZero(p.blocks());
   for (uint32_t j = 1; j <= n; ++j) {
     const uint32_t hi = std::min(m, j + below);
@@ -326,9 +351,9 @@ uint32_t BoundedDistanceKernel(std::string_view s, std::string_view t,
     const uint32_t first = j > above ? (j - above - 1) / 64 : 0;
     const uint32_t live = (hi - 1) / 64;
     // The diagonal's row j - shift (bit index j - shift - 1) once it has
-    // left row 0, where D[0][shift] = shift is exact.
-    const bool diag = j > shift;
-    const uint32_t drow = j - shift - 1;
+    // left its entry cell, where g is exact.
+    const bool diag = int64_t{j} > shift;
+    const uint32_t drow = static_cast<uint32_t>(int64_t{j} - shift - 1);
     const uint64_t* eq = p.eq(t[j - 1]);
     int h = 1;
     for (uint32_t b = first; b <= live; ++b) {
@@ -350,9 +375,10 @@ double EditDistanceMetric::Distance(const ObjectView& a,
                                     const ObjectView& b) const {
   assert(a.kind == ObjectKind::kString && b.kind == ObjectKind::kString);
   std::string_view s = a.AsString(), t = b.AsString();
-  if (s.size() > t.size()) std::swap(s, t);
   if (s.empty()) return static_cast<double>(t.size());
-  return FullDistance(s, t);
+  if (t.empty()) return static_cast<double>(s.size());
+  PatternTable& p = HoldPattern(s, t);
+  return FullDistance(p, s, t);
 }
 
 double EditDistanceMetric::BoundedDistance(const ObjectView& a,
@@ -360,20 +386,22 @@ double EditDistanceMetric::BoundedDistance(const ObjectView& a,
                                            double upper) const {
   assert(a.kind == ObjectKind::kString && b.kind == ObjectKind::kString);
   std::string_view s = a.AsString(), t = b.AsString();
-  if (s.size() > t.size()) std::swap(s, t);
   const uint32_t m = static_cast<uint32_t>(s.size());
   const uint32_t n = static_cast<uint32_t>(t.size());
+  const uint32_t longer = std::max(m, n);
 
   // Integer distances: d <= upper iff d <= floor(upper).  A bound of at
-  // least n cannot cut anything (d <= n) -- delegate to Distance (also
-  // covers upper = +inf from an unfilled kNN heap).
-  if (!(upper < n)) return Distance(a, b);
+  // least max(m, n) cannot cut anything (d <= max(m, n)) -- delegate to
+  // Distance (also covers upper = +inf from an unfilled kNN heap).
+  if (!(upper < longer)) return Distance(a, b);
   const uint32_t kb =
       upper < 0 ? 0 : static_cast<uint32_t>(std::floor(upper));
-  // Length-difference lower bound (also disposes of m == 0: that needs
-  // n <= kb, impossible with kb = floor(upper) < n).
-  if (n - m > kb) return n - m;
-  return BoundedDistanceKernel(s, t, kb);
+  // Length-difference lower bound (also disposes of an empty string: that
+  // needs max(m, n) <= kb, impossible with kb = floor(upper) < max(m, n)).
+  const uint32_t diff = longer - std::min(m, n);
+  if (diff > kb) return diff;
+  PatternTable& p = HoldPattern(s, t);
+  return BoundedDistanceKernel(p, s, t, kb);
 }
 
 }  // namespace pmi

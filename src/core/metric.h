@@ -111,12 +111,15 @@ class LInfMetric final : public Metric {
 /// Discrete, with d+ = the maximum string length in the domain.
 ///
 /// Both calls run one kernel: Myers' bit-vector algorithm in Hyyro's form,
-/// the shorter string as the pattern, one 64-bit word per 64 pattern bytes,
-/// so a text byte costs a constant number of word operations per block.
-/// With m <= n the string lengths and kb = floor(upper) (0 when upper < 0),
-/// BoundedDistance returns exactly Distance when upper >= n, n - m when
-/// n - m > kb, and min(d, kb + 1) otherwise: its "> upper" values are
-/// exactly n - m or kb + 1.
+/// one 64-bit word per 64 pattern bytes, so a text byte costs a constant
+/// number of word operations per block.  The pattern is the argument whose
+/// match masks the calling thread already holds (matched by bytes, not by
+/// address), else the first argument, whose masks it then holds: a query
+/// verified against many objects sets its masks once.  With m and n the
+/// string lengths and kb = floor(upper) (0 when upper < 0), BoundedDistance
+/// returns exactly Distance when upper >= max(m, n), |n - m| when
+/// |n - m| > kb, and min(d, kb + 1) otherwise: its "> upper" values are
+/// exactly |n - m| or kb + 1.
 class EditDistanceMetric final : public Metric {
  public:
   explicit EditDistanceMetric(uint32_t max_len) : max_(max_len) {}

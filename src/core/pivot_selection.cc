@@ -102,8 +102,10 @@ std::vector<ObjectId> SelectPivotsHF(const Dataset& data,
                   DistanceComputer local = ShardComputer(dist, &shards[slot].counters);
                   for (size_t i = begin; i < end; ++i) {
                     if (used[i]) continue;
+                    // The focus goes first: it is the argument whose
+                    // edit-distance pattern the calls can share.
                     error[i] +=
-                        std::fabs(local(data.view(sample[i]), fv) - edge);
+                        std::fabs(local(fv, data.view(sample[i])) - edge);
                   }
                 });
     FoldCounters(shards, dist.counters());
@@ -179,11 +181,11 @@ std::vector<ObjectId> SelectPivotsHFI(const Dataset& data,
     ParallelFor(pool, nc, [&](size_t begin, size_t end, unsigned slot) {
       DistanceComputer local = ShardComputer(dist, &shards[slot].counters);
       for (size_t c = begin; c < end; ++c) {
-        ObjectView pv = data.view(candidates[c]);
+        ObjectView pv = data.view(candidates[c]);  // first: see SelectPivotsHF
         double* row = &diff[c * np];
         for (uint32_t j = 0; j < np; ++j) {
-          double da = local(data.view(a_ids[j]), pv);
-          double db = local(data.view(b_ids[j]), pv);
+          double da = local(pv, data.view(a_ids[j]));
+          double db = local(pv, data.view(b_ids[j]));
           row[j] = std::fabs(da - db);
         }
       }

@@ -19,51 +19,6 @@ namespace {
 constexpr float kFltMax = std::numeric_limits<float>::max();
 
 // ---------------------------------------------------------------------------
-// Ambiguity resolution -- shared by every level.
-//
-// The mask kernels decide each row through the two-sided f32 test:
-// certified inside the narrow radius, dead outside the wide one.  The
-// sliver in between (a one-in-millions event on real distance data; the
-// hand-built boundary tests are what exercise it) is settled here
-// against the double column, after which keep[] holds the exact
-// double-predicate decision for every row.  The main loops stay
-// branch-free and only raise a flag; this rare second pass re-derives
-// certification scalar-wise, which matches the vector lanes exactly
-// because both evaluate the same IEEE float expressions.
-// ---------------------------------------------------------------------------
-
-size_t ResolveAmbiguous(const ExactSlot& s, size_t count, uint8_t* keep) {
-  size_t n = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (keep[i]) {
-      const float x = s.colf[i];
-      const float d = std::fabs(x - s.qf);
-      if (!(d <= s.rn && std::fabs(x) < kFltMax)) {
-        keep[i] = std::fabs(s.cold[i] - s.qd) <= s.rd;
-      }
-      n += keep[i];
-    }
-  }
-  return n;
-}
-
-size_t ResolveAmbiguousGather(const ExactSlotGather& s, size_t count,
-                              uint8_t* keep) {
-  size_t n = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (keep[i]) {
-      const float x = s.colf[i];
-      const float d = std::fabs(x - s.qf_pool[s.idx[i]]);
-      if (!(d <= s.rn && std::fabs(x) < kFltMax)) {
-        keep[i] = std::fabs(s.cold[i] - s.qd_pool[s.idx[i]]) <= s.rd;
-      }
-      n += keep[i];
-    }
-  }
-  return n;
-}
-
-// ---------------------------------------------------------------------------
 // Scalar kernels.  Without hand-written lanes the two-sided f32 trick
 // buys nothing -- three predicates per row cost more than one double
 // compare -- so the scalar level works the double columns directly: the
@@ -182,47 +137,137 @@ void MaskSweepGatherMultiScalar(const ExactSlotGather* slots, size_t nq,
 
 // ---------------------------------------------------------------------------
 // AVX-512: 16 float lanes, native mask compares and compress-stores.
-// Mask bytes come from maskz_set1_epi8; compaction turns 16 mask bytes
-// into a __mmask16 and compress-stores the iota+base indices in one
-// instruction.  In the refine kernels the write cursor never passes the
-// read cursor, so in-place narrowing is safe.
+// Every mask kernel walks the block in 16-row chunks and decides each
+// chunk's rows in the chunk itself: the two-sided f32 test certifies the
+// rows inside the narrow radius and drops the rows outside the wide one;
+// the ambiguous rows in between (frequent on integer-valued data, where
+// rows sit exactly on |x - q| = r) are settled against the f64 column by
+// two 8-lane double compares.  A ragged last chunk runs the same code
+// under a lane mask, so every row of every kernel takes one path.
+// Compaction turns 16 mask bytes into a __mmask16 and compress-stores the
+// iota+base indices in one instruction.  In the refine kernels the write
+// cursor never passes the read cursor, so in-place narrowing is safe.
 // ---------------------------------------------------------------------------
 
 #define PMI_AVX512_TARGET \
   __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
+
+// Lanes [0, rem) of a chunk; all 16 once rem >= 16.
+inline __mmask16 ChunkLanes(size_t rem) {
+  return rem >= 16 ? __mmask16(0xffff) : __mmask16((1u << rem) - 1);
+}
+
+inline size_t PopCount(__mmask16 k) {
+  return static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(k)));
+}
+
+// The lanes of `amb` whose f64 cells pass fabs(cold[l] - q[l]) <= rd:
+// two 8-lane compares that load only those lanes.
+PMI_AVX512_TARGET inline __mmask16 ExactLanes(const double* cold, __m512d qlo,
+                                              __m512d qhi, double rd,
+                                              __mmask16 amb) {
+  const __m512d vrd = _mm512_set1_pd(rd);
+  const __mmask8 lo = static_cast<__mmask8>(amb);
+  const __mmask8 hi = static_cast<__mmask8>(amb >> 8);
+  const __m512d xlo = _mm512_maskz_loadu_pd(lo, cold);
+  const __m512d xhi = _mm512_maskz_loadu_pd(hi, cold + 8);
+  const __mmask8 klo = _mm512_mask_cmp_pd_mask(
+      lo, _mm512_abs_pd(_mm512_sub_pd(xlo, qlo)), vrd, _CMP_LE_OQ);
+  const __mmask8 khi = _mm512_mask_cmp_pd_mask(
+      hi, _mm512_abs_pd(_mm512_sub_pd(xhi, qhi)), vrd, _CMP_LE_OQ);
+  return static_cast<__mmask16>(klo | (static_cast<unsigned>(khi) << 8));
+}
+
+// The f32 side of one chunk's decision over `lanes`: `wide` holds the
+// lanes inside the wide radius, `certified` those of them also inside
+// the narrow radius with an unclamped cell.  The exact mask is
+// certified | (f64 test on wide & ~certified).
+struct F32Test {
+  __mmask16 wide, certified;
+};
+
+PMI_AVX512_TARGET inline F32Test TestF32(__m512 x, __m512 vq, __m512 vrw,
+                                         __m512 vrn, __mmask16 lanes) {
+  const __m512 d = _mm512_abs_ps(_mm512_sub_ps(x, vq));
+  const __mmask16 wide = _mm512_mask_cmp_ps_mask(lanes, d, vrw, _CMP_LE_OQ);
+  const __mmask16 certified =
+      _mm512_mask_cmp_ps_mask(wide, d, vrn, _CMP_LE_OQ) &
+      _mm512_cmp_ps_mask(_mm512_abs_ps(x), _mm512_set1_ps(kFltMax),
+                         _CMP_LT_OQ);
+  return {wide, certified};
+}
+
+// The exact decision of `lanes` of the chunk at row i, whose f32 cells
+// are x.  The broadcast query value and radii arrive in registers: the
+// keep stores may alias the slot, so reading them from `s` in the row
+// loop would reload them every chunk.
+PMI_AVX512_TARGET inline __mmask16 KeepLanes(const ExactSlot& s, size_t i,
+                                             __m512 x, __m512 vq, __m512 vrw,
+                                             __m512 vrn, __mmask16 lanes) {
+  const F32Test f = TestF32(x, vq, vrw, vrn, lanes);
+  const __mmask16 amb = f.wide & ~f.certified;
+  if (amb == 0) return f.certified;
+  const __m512d qd = _mm512_set1_pd(s.qd);
+  return f.certified | ExactLanes(s.cold + i, qd, qd, s.rd, amb);
+}
+
+// The f64 query values of the lanes of `half` in the 8 rows at idx.
+PMI_AVX512_TARGET inline __m512d GatherQd(const double* qd_pool,
+                                          const uint32_t* idx,
+                                          __mmask8 half) {
+  const __m256i vidx = _mm256_maskz_loadu_epi32(half, idx);
+  return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), half, vidx, qd_pool,
+                                  8);
+}
+
+// Per-row-pivot form: vq holds the chunk's gathered f32 query values;
+// the ambiguous lanes gather their f64 ones.
+PMI_AVX512_TARGET inline __mmask16 KeepLanesGather(const ExactSlotGather& s,
+                                                   size_t i, __m512 x,
+                                                   __m512 vq, __m512 vrw,
+                                                   __m512 vrn,
+                                                   __mmask16 lanes) {
+  const F32Test f = TestF32(x, vq, vrw, vrn, lanes);
+  const __mmask16 amb = f.wide & ~f.certified;
+  if (amb == 0) return f.certified;
+  const __m512d qlo =
+      GatherQd(s.qd_pool, s.idx + i, static_cast<__mmask8>(amb));
+  const __m512d qhi =
+      GatherQd(s.qd_pool, s.idx + i + 8, static_cast<__mmask8>(amb >> 8));
+  return f.certified | ExactLanes(s.cold + i, qlo, qhi, s.rd, amb);
+}
+
+PMI_AVX512_TARGET inline __m512 GatherQf(const float* qf_pool, __m512i vidx,
+                                         __mmask16 lanes) {
+  return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes, vidx, qf_pool,
+                                  4);
+}
+
+PMI_AVX512_TARGET inline void StoreKeep(uint8_t* keep, __mmask16 lanes,
+                                        __mmask16 k) {
+  _mm_mask_storeu_epi8(keep, lanes, _mm_maskz_set1_epi8(k, 1));
+}
+
+// The lanes of the chunk at keep whose bytes are set.
+PMI_AVX512_TARGET inline __mmask16 AliveLanes(const uint8_t* keep,
+                                              __mmask16 lanes) {
+  const __m128i cur = _mm_maskz_loadu_epi8(lanes, keep);
+  return _mm_test_epi8_mask(cur, cur);
+}
 
 PMI_AVX512_TARGET size_t MaskSweepAvx512(const ExactSlot& s, size_t count,
                                          uint8_t* keep) {
   const __m512 vq = _mm512_set1_ps(s.qf);
   const __m512 vrw = _mm512_set1_ps(s.rw);
   const __m512 vrn = _mm512_set1_ps(s.rn);
-  const __m512 vmax = _mm512_set1_ps(kFltMax);
   size_t n = 0;
-  __mmask16 amb = 0;
-  size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m512 x = _mm512_loadu_ps(s.colf + i);
-    const __m512 d = _mm512_abs_ps(_mm512_sub_ps(x, vq));
-    const __mmask16 mw = _mm512_cmp_ps_mask(d, vrw, _CMP_LE_OQ);
-    const __mmask16 mc =
-        _mm512_cmp_ps_mask(d, vrn, _CMP_LE_OQ) &
-        _mm512_cmp_ps_mask(_mm512_abs_ps(x), vmax, _CMP_LT_OQ);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(keep + i),
-                     _mm_maskz_set1_epi8(mw, 1));
-    n += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mw)));
-    amb |= mw & ~mc;
+  for (size_t i = 0; i < count; i += 16) {
+    const __mmask16 lanes = ChunkLanes(count - i);
+    const __m512 x = _mm512_maskz_loadu_ps(lanes, s.colf + i);
+    const __mmask16 k = KeepLanes(s, i, x, vq, vrw, vrn, lanes);
+    StoreKeep(keep + i, lanes, k);
+    n += PopCount(k);
   }
-  unsigned tail_amb = 0;
-  for (; i < count; ++i) {
-    const float x = s.colf[i];
-    const float d = std::fabs(x - s.qf);
-    const uint8_t kw = d <= s.rw;
-    const uint8_t kc = (d <= s.rn) & (std::fabs(x) < kFltMax);
-    keep[i] = kw;
-    n += kw;
-    tail_amb |= kw & (kc ^ 1);
-  }
-  if (amb != 0 || tail_amb != 0) n = ResolveAmbiguous(s, count, keep);
   return n;
 }
 
@@ -230,36 +275,16 @@ PMI_AVX512_TARGET size_t MaskSweepGatherAvx512(const ExactSlotGather& s,
                                                size_t count, uint8_t* keep) {
   const __m512 vrw = _mm512_set1_ps(s.rw);
   const __m512 vrn = _mm512_set1_ps(s.rn);
-  const __m512 vmax = _mm512_set1_ps(kFltMax);
   size_t n = 0;
-  __mmask16 amb = 0;
-  size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m512i vidx = _mm512_loadu_si512(s.idx + i);
-    const __m512 vq = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xffff,
-                                               vidx, s.qf_pool, 4);
-    const __m512 x = _mm512_loadu_ps(s.colf + i);
-    const __m512 d = _mm512_abs_ps(_mm512_sub_ps(x, vq));
-    const __mmask16 mw = _mm512_cmp_ps_mask(d, vrw, _CMP_LE_OQ);
-    const __mmask16 mc =
-        _mm512_cmp_ps_mask(d, vrn, _CMP_LE_OQ) &
-        _mm512_cmp_ps_mask(_mm512_abs_ps(x), vmax, _CMP_LT_OQ);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(keep + i),
-                     _mm_maskz_set1_epi8(mw, 1));
-    n += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mw)));
-    amb |= mw & ~mc;
+  for (size_t i = 0; i < count; i += 16) {
+    const __mmask16 lanes = ChunkLanes(count - i);
+    const __m512i vidx = _mm512_maskz_loadu_epi32(lanes, s.idx + i);
+    const __m512 x = _mm512_maskz_loadu_ps(lanes, s.colf + i);
+    const __m512 vq = GatherQf(s.qf_pool, vidx, lanes);
+    const __mmask16 k = KeepLanesGather(s, i, x, vq, vrw, vrn, lanes);
+    StoreKeep(keep + i, lanes, k);
+    n += PopCount(k);
   }
-  unsigned tail_amb = 0;
-  for (; i < count; ++i) {
-    const float x = s.colf[i];
-    const float d = std::fabs(x - s.qf_pool[s.idx[i]]);
-    const uint8_t kw = d <= s.rw;
-    const uint8_t kc = (d <= s.rn) & (std::fabs(x) < kFltMax);
-    keep[i] = kw;
-    n += kw;
-    tail_amb |= kw & (kc ^ 1);
-  }
-  if (amb != 0 || tail_amb != 0) n = ResolveAmbiguousGather(s, count, keep);
   return n;
 }
 
@@ -268,37 +293,15 @@ PMI_AVX512_TARGET size_t MaskAndAvx512(const ExactSlot& s, size_t count,
   const __m512 vq = _mm512_set1_ps(s.qf);
   const __m512 vrw = _mm512_set1_ps(s.rw);
   const __m512 vrn = _mm512_set1_ps(s.rn);
-  const __m512 vmax = _mm512_set1_ps(kFltMax);
   size_t n = 0;
-  __mmask16 amb = 0;
-  size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m512 x = _mm512_loadu_ps(s.colf + i);
-    const __m512 d = _mm512_abs_ps(_mm512_sub_ps(x, vq));
-    const __mmask16 mw = _mm512_cmp_ps_mask(d, vrw, _CMP_LE_OQ);
-    const __mmask16 mc =
-        _mm512_cmp_ps_mask(d, vrn, _CMP_LE_OQ) &
-        _mm512_cmp_ps_mask(_mm512_abs_ps(x), vmax, _CMP_LT_OQ);
-    const __m128i cur =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keep + i));
-    const __m128i res = _mm_maskz_mov_epi8(mw, cur);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(keep + i), res);
-    const __mmask16 alive = _mm_test_epi8_mask(res, res);
-    n += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(alive)));
-    amb |= alive & ~mc;
+  for (size_t i = 0; i < count; i += 16) {
+    const __mmask16 lanes = ChunkLanes(count - i);
+    const __mmask16 alive = AliveLanes(keep + i, lanes);
+    const __m512 x = _mm512_maskz_loadu_ps(lanes, s.colf + i);
+    const __mmask16 k = KeepLanes(s, i, x, vq, vrw, vrn, alive);
+    StoreKeep(keep + i, lanes, k);
+    n += PopCount(k);
   }
-  unsigned tail_amb = 0;
-  for (; i < count; ++i) {
-    const float x = s.colf[i];
-    const float d = std::fabs(x - s.qf);
-    const uint8_t kw = keep[i] & static_cast<uint8_t>(d <= s.rw);
-    const uint8_t kc = (d <= s.rn) & (std::fabs(x) < kFltMax);
-    keep[i] = kw;
-    n += kw;
-    tail_amb |= kw & (kc ^ 1);
-  }
-  if (amb != 0 || tail_amb != 0) n = ResolveAmbiguous(s, count, keep);
   return n;
 }
 
@@ -306,40 +309,17 @@ PMI_AVX512_TARGET size_t MaskAndGatherAvx512(const ExactSlotGather& s,
                                              size_t count, uint8_t* keep) {
   const __m512 vrw = _mm512_set1_ps(s.rw);
   const __m512 vrn = _mm512_set1_ps(s.rn);
-  const __m512 vmax = _mm512_set1_ps(kFltMax);
   size_t n = 0;
-  __mmask16 amb = 0;
-  size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m512i vidx = _mm512_loadu_si512(s.idx + i);
-    const __m512 vq = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xffff,
-                                               vidx, s.qf_pool, 4);
-    const __m512 x = _mm512_loadu_ps(s.colf + i);
-    const __m512 d = _mm512_abs_ps(_mm512_sub_ps(x, vq));
-    const __mmask16 mw = _mm512_cmp_ps_mask(d, vrw, _CMP_LE_OQ);
-    const __mmask16 mc =
-        _mm512_cmp_ps_mask(d, vrn, _CMP_LE_OQ) &
-        _mm512_cmp_ps_mask(_mm512_abs_ps(x), vmax, _CMP_LT_OQ);
-    const __m128i cur =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keep + i));
-    const __m128i res = _mm_maskz_mov_epi8(mw, cur);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(keep + i), res);
-    const __mmask16 alive = _mm_test_epi8_mask(res, res);
-    n += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(alive)));
-    amb |= alive & ~mc;
+  for (size_t i = 0; i < count; i += 16) {
+    const __mmask16 lanes = ChunkLanes(count - i);
+    const __mmask16 alive = AliveLanes(keep + i, lanes);
+    const __m512i vidx = _mm512_maskz_loadu_epi32(lanes, s.idx + i);
+    const __m512 x = _mm512_maskz_loadu_ps(lanes, s.colf + i);
+    const __m512 vq = GatherQf(s.qf_pool, vidx, alive);
+    const __mmask16 k = KeepLanesGather(s, i, x, vq, vrw, vrn, alive);
+    StoreKeep(keep + i, lanes, k);
+    n += PopCount(k);
   }
-  unsigned tail_amb = 0;
-  for (; i < count; ++i) {
-    const float x = s.colf[i];
-    const float d = std::fabs(x - s.qf_pool[s.idx[i]]);
-    const uint8_t kw = keep[i] & static_cast<uint8_t>(d <= s.rw);
-    const uint8_t kc = (d <= s.rn) & (std::fabs(x) < kFltMax);
-    keep[i] = kw;
-    n += kw;
-    tail_amb |= kw & (kc ^ 1);
-  }
-  if (amb != 0 || tail_amb != 0) n = ResolveAmbiguousGather(s, count, keep);
   return n;
 }
 
@@ -431,49 +411,25 @@ PMI_AVX512_TARGET void MaskSweepMultiAvx512Group(const ExactSlot* slots,
                                                  size_t keep_stride,
                                                  size_t* counts) {
   __m512 vq[G], vrw[G], vrn[G];
-  unsigned amb[G];
   size_t cnt[G];
   for (size_t j = 0; j < G; ++j) {
     vq[j] = _mm512_set1_ps(slots[j].qf);
     vrw[j] = _mm512_set1_ps(slots[j].rw);
     vrn[j] = _mm512_set1_ps(slots[j].rn);
-    amb[j] = 0;
     cnt[j] = 0;
   }
-  const __m512 vmax = _mm512_set1_ps(kFltMax);
   const float* colf = slots[0].colf;
-  size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m512 x = _mm512_loadu_ps(colf + i);
-    const __m512 xabs = _mm512_abs_ps(x);
+  for (size_t i = 0; i < count; i += 16) {
+    const __mmask16 lanes = ChunkLanes(count - i);
+    const __m512 x = _mm512_maskz_loadu_ps(lanes, colf + i);
     for (size_t j = 0; j < G; ++j) {
-      const __m512 d = _mm512_abs_ps(_mm512_sub_ps(x, vq[j]));
-      const __mmask16 mw = _mm512_cmp_ps_mask(d, vrw[j], _CMP_LE_OQ);
-      const __mmask16 mc = _mm512_cmp_ps_mask(d, vrn[j], _CMP_LE_OQ) &
-                           _mm512_cmp_ps_mask(xabs, vmax, _CMP_LT_OQ);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(keep + j * keep_stride + i),
-                       _mm_maskz_set1_epi8(mw, 1));
-      cnt[j] +=
-          static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mw)));
-      amb[j] |= mw & ~mc;
+      const __mmask16 k =
+          KeepLanes(slots[j], i, x, vq[j], vrw[j], vrn[j], lanes);
+      StoreKeep(keep + j * keep_stride + i, lanes, k);
+      cnt[j] += PopCount(k);
     }
   }
-  for (; i < count; ++i) {
-    const float x = colf[i];
-    for (size_t j = 0; j < G; ++j) {
-      const float d = std::fabs(x - slots[j].qf);
-      const uint8_t kw = d <= slots[j].rw;
-      const uint8_t kc = (d <= slots[j].rn) & (std::fabs(x) < kFltMax);
-      keep[j * keep_stride + i] = kw;
-      cnt[j] += kw;
-      amb[j] |= kw & (kc ^ 1);
-    }
-  }
-  for (size_t j = 0; j < G; ++j) {
-    counts[j] = amb[j] != 0
-                    ? ResolveAmbiguous(slots[j], count, keep + j * keep_stride)
-                    : cnt[j];
-  }
+  for (size_t j = 0; j < G; ++j) counts[j] = cnt[j];
 }
 
 void MaskSweepMultiAvx512(const ExactSlot* slots, size_t nq, size_t count,
@@ -498,52 +454,27 @@ PMI_AVX512_TARGET void MaskSweepGatherMultiAvx512Group(
     const ExactSlotGather* slots, size_t count, uint8_t* keep,
     size_t keep_stride, size_t* counts) {
   __m512 vrw[G], vrn[G];
-  unsigned amb[G];
   size_t cnt[G];
   for (size_t j = 0; j < G; ++j) {
     vrw[j] = _mm512_set1_ps(slots[j].rw);
     vrn[j] = _mm512_set1_ps(slots[j].rn);
-    amb[j] = 0;
     cnt[j] = 0;
   }
-  const __m512 vmax = _mm512_set1_ps(kFltMax);
   const float* colf = slots[0].colf;
   const uint32_t* idx = slots[0].idx;
-  size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m512 x = _mm512_loadu_ps(colf + i);
-    const __m512 xabs = _mm512_abs_ps(x);
-    const __m512i vidx = _mm512_loadu_si512(idx + i);
+  for (size_t i = 0; i < count; i += 16) {
+    const __mmask16 lanes = ChunkLanes(count - i);
+    const __m512 x = _mm512_maskz_loadu_ps(lanes, colf + i);
+    const __m512i vidx = _mm512_maskz_loadu_epi32(lanes, idx + i);
     for (size_t j = 0; j < G; ++j) {
-      const __m512 vq = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xffff,
-                                                 vidx, slots[j].qf_pool, 4);
-      const __m512 d = _mm512_abs_ps(_mm512_sub_ps(x, vq));
-      const __mmask16 mw = _mm512_cmp_ps_mask(d, vrw[j], _CMP_LE_OQ);
-      const __mmask16 mc = _mm512_cmp_ps_mask(d, vrn[j], _CMP_LE_OQ) &
-                           _mm512_cmp_ps_mask(xabs, vmax, _CMP_LT_OQ);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(keep + j * keep_stride + i),
-                       _mm_maskz_set1_epi8(mw, 1));
-      cnt[j] +=
-          static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(mw)));
-      amb[j] |= mw & ~mc;
+      const __m512 vq = GatherQf(slots[j].qf_pool, vidx, lanes);
+      const __mmask16 k =
+          KeepLanesGather(slots[j], i, x, vq, vrw[j], vrn[j], lanes);
+      StoreKeep(keep + j * keep_stride + i, lanes, k);
+      cnt[j] += PopCount(k);
     }
   }
-  for (; i < count; ++i) {
-    const float x = colf[i];
-    for (size_t j = 0; j < G; ++j) {
-      const float d = std::fabs(x - slots[j].qf_pool[idx[i]]);
-      const uint8_t kw = d <= slots[j].rw;
-      const uint8_t kc = (d <= slots[j].rn) & (std::fabs(x) < kFltMax);
-      keep[j * keep_stride + i] = kw;
-      cnt[j] += kw;
-      amb[j] |= kw & (kc ^ 1);
-    }
-  }
-  for (size_t j = 0; j < G; ++j) {
-    counts[j] = amb[j] != 0 ? ResolveAmbiguousGather(slots[j], count,
-                                                     keep + j * keep_stride)
-                            : cnt[j];
-  }
+  for (size_t j = 0; j < G; ++j) counts[j] = cnt[j];
 }
 
 void MaskSweepGatherMultiAvx512(const ExactSlotGather* slots, size_t nq,
@@ -586,6 +517,27 @@ bool CpuSupportsAvx512() {
 // and refine forms stay scalar -- AArch64 has no gather, and the
 // survivor lists the refines touch are short.
 // ---------------------------------------------------------------------------
+
+// The NEON loops only raise a flag when a row falls between the narrow
+// and wide radii; this second pass then settles every such row of the
+// block against the double column, re-deriving certification
+// scalar-wise (the same IEEE float expressions as the vector lanes).
+// Integer-valued data puts rows exactly on |x - q| = r, so the pass
+// runs often there.
+size_t ResolveAmbiguous(const ExactSlot& s, size_t count, uint8_t* keep) {
+  size_t n = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (keep[i]) {
+      const float x = s.colf[i];
+      const float d = std::fabs(x - s.qf);
+      if (!(d <= s.rn && std::fabs(x) < kFltMax)) {
+        keep[i] = std::fabs(s.cold[i] - s.qd) <= s.rd;
+      }
+      n += keep[i];
+    }
+  }
+  return n;
+}
 
 size_t MaskSweepNeon(const ExactSlot& s, size_t count, uint8_t* keep) {
   const float32x4_t vq = vdupq_n_f32(s.qf);

@@ -73,7 +73,7 @@ std::vector<SimdLevel> SupportedSimdLevels();
 
 /// One pivot slot's worth of filter inputs for the exact mask kernels:
 /// the f32 filter column with its wide/narrow radii, and the f64 column
-/// + exact radius the rare ambiguous rows fall back to.  The kernels'
+/// + exact radius the ambiguous rows fall back to.  The kernels'
 /// contract is that the produced mask equals the exact double predicate
 /// fabs(cold[i] - qd) <= rd for every row -- the f32 side is only the
 /// fast path (see the two-sided radius derivation below).
@@ -243,9 +243,14 @@ inline float ConservativeFilterRadius(double qmax_abs, double r) {
 /// fabs(x - q) <= r holds in double arithmetic -- provided |X| <
 /// FLT_MAX (an unclamped cell; the kernels check that lane-wise, since
 /// a clamped X hides an arbitrarily larger x).  Rows between the narrow
-/// and wide radii are "ambiguous" and fall back to the double column;
-/// with random data that band is empty for all practical purposes, so
-/// the filter runs on f32 traffic alone.
+/// and wide radii are "ambiguous" and fall back to the double column.
+/// On continuous data that band is nearly empty.  On integer distances
+/// with an integer radius (Words, Synthetic) it is not: a row exactly on
+/// |x - q| = r lands in it whenever x and q are exact in f32, since the
+/// narrow radius sits below r, and such rows are common.  So the AVX-512
+/// kernels settle ambiguous rows in the 16-row chunk that finds them,
+/// against the same chunk of the double column (NEON re-passes the
+/// block once any row is ambiguous).
 ///
 /// Derivation mirrors ConservativeFilterRadius with the casting slack
 /// subtracted instead of added: |x - q| <= S + 2^-23 (|q| + r) + denorm

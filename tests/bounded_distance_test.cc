@@ -287,6 +287,162 @@ TEST(EditDistanceOracleTest, WordsPairs) {
   }
 }
 
+// -- held pattern -------------------------------------------------------------
+//
+// The calling thread keeps the match masks of the last pattern and reuses
+// them whenever either argument has the same bytes.  These sequences pin
+// every return of such reuse against the oracle: a scan's query against
+// many texts, pattern switches, equal-length patterns one byte apart, a
+// buffer rewritten in place, and patterns longer than their texts.
+
+// Calls BoundedDistance(a, b, .) at bounds -1, then every integer and
+// k + 0.5 up to max(|a|, |b|) + 1 in ascending order, then +inf, then
+// Distance both ways.  On a freshly loaded pattern the small bounds run
+// first, so later calls find only the rows an earlier band reached.
+void CheckBoundedFirst(const EditDistanceMetric& metric, std::string_view a,
+                       std::string_view b) {
+  const uint32_t d = ReferenceLevenshtein(a, b);
+  const ObjectView va = ObjectView::FromString(a);
+  const ObjectView vb = ObjectView::FromString(b);
+  std::vector<double> bounds = {-1.0};
+  const size_t n = std::max(a.size(), b.size());
+  for (size_t k = 0; k <= n + 1; ++k) {
+    bounds.push_back(double(k));
+    bounds.push_back(k + 0.5);
+  }
+  bounds.push_back(std::numeric_limits<double>::infinity());
+  for (double upper : bounds) {
+    const double want = ExpectedBounded(d, a.size(), b.size(), upper);
+    ASSERT_TRUE(SameBits(metric.BoundedDistance(va, vb, upper), want))
+        << "|a|=" << a.size() << " |b|=" << b.size() << " d=" << d
+        << " upper=" << upper;
+  }
+  ASSERT_TRUE(SameBits(metric.Distance(va, vb), double(d)));
+  ASSERT_TRUE(SameBits(metric.Distance(vb, va), double(d)));
+}
+
+// A copy of `s` with up to `max_edits` random insertions, deletions and
+// substitutions over bytes [0, alphabet).
+std::string Edited(std::string s, uint32_t max_edits, uint32_t alphabet,
+                   Rng* rng) {
+  for (uint64_t e = (*rng)() % (max_edits + 1); e > 0; --e) {
+    const size_t at = (*rng)() % (s.size() + 1);
+    const char c = static_cast<char>((*rng)() % alphabet);
+    switch ((*rng)() % 3) {
+      case 0: s.insert(s.begin() + at, c); break;
+      case 1: if (at < s.size()) s.erase(at, 1); break;
+      default: if (at < s.size()) s[at] = c; break;
+    }
+  }
+  return s;
+}
+
+std::string RandomString(size_t len, uint32_t alphabet, Rng* rng) {
+  std::string s(len, '\0');
+  for (char& c : s) c = static_cast<char>((*rng)() % alphabet);
+  return s;
+}
+
+TEST(EditDistanceOracleTest, HeldQueryAgainstManyTextsBothOrders) {
+  EditDistanceMetric metric(300);
+  Rng rng(6502);
+  // One-word and multi-word queries; texts shorter and longer, half of
+  // them near copies of the query.
+  for (size_t qlen : {7u, 40u, 150u}) {
+    const std::string q = RandomString(qlen, 4, &rng);
+    for (int i = 0; i < 120; ++i) {
+      const std::string t =
+          i % 2 == 0 ? Edited(q, 12, 4, &rng)
+                     : RandomString(rng() % (2 * qlen + 2), 4, &rng);
+      if (i % 4 < 2) {
+        CheckBoundedFirst(metric, q, t);
+      } else {
+        CheckBoundedFirst(metric, t, q);
+      }
+      if (HasFatalFailure()) return;
+      CheckAgainstOracle(metric, i % 3 == 0 ? t : q, i % 3 == 0 ? q : t);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EditDistanceOracleTest, InterleavedPatternsAndOneByteNeighbours) {
+  EditDistanceMetric metric(200);
+  Rng rng(1999);
+  for (size_t len : {5u, 64u, 100u}) {
+    const std::string p1 = RandomString(len, 4, &rng);
+    const std::string p2 = [&] {  // equal length, one byte apart
+      std::string s = p1;
+      s[rng() % len] ^= 1;
+      return s;
+    }();
+    const std::string p3 = RandomString(len + rng() % 9, 4, &rng);
+    for (int i = 0; i < 40; ++i) {
+      const std::string t = Edited(i % 2 ? p1 : p3, 10, 4, &rng);
+      for (const std::string* p : {&p1, &p2, &p1, &p3, &p2}) {
+        CheckBoundedFirst(metric, *p, t);
+        if (HasFatalFailure()) return;
+      }
+      CheckBoundedFirst(metric, t, p2);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EditDistanceOracleTest, PatternRewrittenInPlace) {
+  // The same buffer, at the same address and length, holds a new pattern
+  // on every round; the held masks must follow the bytes.
+  EditDistanceMetric metric(200);
+  Rng rng(31337);
+  for (size_t len : {9u, 70u, 130u}) {
+    std::string buf = RandomString(len, 4, &rng);
+    const char* const at = buf.data();
+    const std::string text = Edited(buf, 6, 4, &rng);
+    for (int round = 0; round < 30; ++round) {
+      CheckBoundedFirst(metric, buf, text);
+      if (HasFatalFailure()) return;
+      if (round % 3 == 2) {
+        const std::string fresh = RandomString(len, 4, &rng);
+        std::memcpy(buf.data(), fresh.data(), len);
+      } else {
+        buf[rng() % len] = static_cast<char>(rng() % 4);
+      }
+      ASSERT_EQ(buf.data(), at);
+    }
+  }
+}
+
+TEST(EditDistanceOracleTest, PatternsLongerThanTheirTexts) {
+  // Word-edge lengths as the first argument, texts shorter than them:
+  // the pattern is the longer string, so the end diagonal starts below
+  // row 0 and the band leans the other way.
+  EditDistanceMetric metric(200);
+  Rng rng(4004);
+  for (size_t len : {63u, 64u, 65u, 128u, 129u}) {
+    for (uint32_t alphabet : {2u, 4u, 256u}) {
+      const std::string p = RandomString(len, alphabet, &rng);
+      for (int i = 0; i < 24; ++i) {
+        std::string t;
+        switch (i % 3) {
+          case 0:  // a few bytes shorter: small distances, narrow band
+            t = p.substr(rng() % 4, len - 4 - rng() % 4);
+            t = Edited(t, 3, alphabet, &rng);
+            break;
+          case 1:
+            t = RandomString(rng() % len, alphabet, &rng);
+            break;
+          default:
+            t = p.substr(0, len - 1 - rng() % 40);
+            break;
+        }
+        ASSERT_LT(t.size(), p.size());
+        CheckBoundedFirst(metric, p, t);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 // -- DistanceComputer accounting ----------------------------------------------
 
 TEST(DistanceComputerBoundedTest, CountsAbandonedCallsAsOneComputation) {

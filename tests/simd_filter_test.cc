@@ -474,6 +474,252 @@ TEST(SimdFilterTest, BlockMajorIndirectScanMatchesPerQueryScan) {
   RestoreDefaultLevel();
 }
 
+// Integer-valued columns put rows exactly on |x - q| = r, the rows the
+// f32 test cannot settle (the narrow radius sits below r, the wide one
+// above): Words and Synthetic have integer distances and radii.  Every
+// 16-lane chunk below holds such ties.  Each kernel form is called
+// directly at every level, and its mask, count and compacted survivor
+// list must equal the f64 predicate's.  Row counts are not multiples of
+// 16, so each kernel's ragged last chunk runs too; the 2^24 + 1 base
+// puts the query where floats no longer hold every integer.
+struct TieColumns {
+  std::vector<float> colf;
+  std::vector<double> cold;
+  std::vector<uint32_t> idx;  // pool index per row (gather forms)
+};
+
+// Cells around the shared query value `base` and each row's gathered
+// one, base + pool[idx]: in every 16-row chunk, rows 0 mod 4 sit exactly
+// on the radius of the gathered value and rows 2 mod 4 on that of
+// `base`; the rest spread over +-(2r + 1) around the gathered value.
+TieColumns MakeTieColumns(size_t count, double base, const double* pool,
+                          size_t pool_size, double r, Rng* rng) {
+  TieColumns c;
+  const int64_t spread = 2 * static_cast<int64_t>(r) + 1;
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t k = static_cast<uint32_t>((*rng)() % pool_size);
+    const double q = i % 4 == 2 ? base : base + pool[k];
+    const double side = (*rng)() % 2 ? r : -r;
+    const double x =
+        i % 2 == 0 ? q + side
+                   : q + double(int64_t((*rng)() % (2 * spread + 1)) - spread);
+    c.idx.push_back(k);
+    c.cold.push_back(x);
+    c.colf.push_back(FilterValue(x));
+  }
+  return c;
+}
+
+ExactSlot TieSlot(const TieColumns& c, double qd, double rd) {
+  ExactSlot s;
+  s.colf = c.colf.data();
+  s.cold = c.cold.data();
+  s.qf = FilterValue(qd);
+  s.rw = ConservativeFilterRadius(std::fabs(qd), rd);
+  s.rn = CertificateFilterRadius(std::fabs(qd), rd);
+  s.qd = qd;
+  s.rd = rd;
+  return s;
+}
+
+// `qd` and its f32 copy `qf` must outlive the slot.
+ExactSlotGather TieGatherSlot(const TieColumns& c,
+                              const std::vector<double>& qd,
+                              const std::vector<float>& qf, double rd) {
+  double qmax = 0;
+  for (double v : qd) qmax = std::max(qmax, std::fabs(v));
+  ExactSlotGather s;
+  s.colf = c.colf.data();
+  s.cold = c.cold.data();
+  s.idx = c.idx.data();
+  s.qf_pool = qf.data();
+  s.qd_pool = qd.data();
+  s.rw = ConservativeFilterRadius(qmax, rd);
+  s.rn = CertificateFilterRadius(qmax, rd);
+  s.rd = rd;
+  return s;
+}
+
+std::vector<uint8_t> WantMask(const TieColumns& c, const ExactSlot& s) {
+  std::vector<uint8_t> want(c.cold.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    want[i] = std::fabs(c.cold[i] - s.qd) <= s.rd;
+  }
+  return want;
+}
+
+std::vector<uint8_t> WantMask(const TieColumns& c, const ExactSlotGather& s) {
+  std::vector<uint8_t> want(c.cold.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    want[i] = std::fabs(c.cold[i] - s.qd_pool[c.idx[i]]) <= s.rd;
+  }
+  return want;
+}
+
+// True when every chunk of three or more rows holds a row whose f32
+// distance lies between the narrow and wide radii: a row only the f64
+// column can settle.  qf_of(i) is row i's f32 query value.
+template <typename QfOf>
+bool EveryChunkAmbiguous(const TieColumns& c, QfOf qf_of, float rn,
+                         float rw) {
+  for (size_t i0 = 0; i0 + 3 <= c.colf.size(); i0 += 16) {
+    bool found = false;
+    for (size_t i = i0; i < std::min(c.colf.size(), i0 + 16); ++i) {
+      const float d = std::fabs(c.colf[i] - qf_of(i));
+      found |= d > rn && d <= rw;
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+size_t SetCount(const std::vector<uint8_t>& mask) {
+  return static_cast<size_t>(std::count(mask.begin(), mask.end(), 1));
+}
+
+// The compacted survivor list of `keep` must be the set rows of `want`.
+void ExpectCompactEquals(const SimdOps& ops, const uint8_t* keep,
+                         const std::vector<uint8_t>& want) {
+  std::vector<uint32_t> surv(want.size() + kSurvWriteSlack);
+  surv.resize(ops.compact(keep, want.size(), surv.data()));
+  std::vector<uint32_t> expect;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (want[i]) expect.push_back(static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(surv, expect);
+}
+
+TEST(SimdFilterTest, IntegerTiesSettleExactlyInEveryKernel) {
+  const std::vector<double> pool = {0, 3, 7, 12, 20, 31, 45};
+  for (double base : {40.0, 1000.0, 16777217.0}) {
+    for (double r : {0.0, 1.0, 3.0, 17.0}) {
+      for (size_t count : {1u, 9u, 17u, 100u, 255u}) {
+        Rng rng(static_cast<uint64_t>(base + r * 1000 + count));
+        const TieColumns c =
+            MakeTieColumns(count, base, pool.data(), pool.size(), r, &rng);
+        std::vector<double> qd_pool(pool.size());
+        std::vector<float> qf_pool(pool.size());
+        for (size_t k = 0; k < pool.size(); ++k) {
+          qd_pool[k] = base + pool[k];
+          qf_pool[k] = FilterValue(qd_pool[k]);
+        }
+        std::vector<uint8_t> pre(count);
+        for (uint8_t& b : pre) b = rng() % 4 != 0;
+        const ExactSlot s = TieSlot(c, base, r);
+        const ExactSlotGather g = TieGatherSlot(c, qd_pool, qf_pool, r);
+        if (base < 1e6) {  // integers exact in f32: ties are ambiguous
+          EXPECT_TRUE(EveryChunkAmbiguous(
+              c, [&](size_t) { return s.qf; }, s.rn, s.rw));
+          EXPECT_TRUE(EveryChunkAmbiguous(
+              c, [&](size_t i) { return qf_pool[c.idx[i]]; }, g.rn, g.rw));
+        }
+        const std::vector<uint8_t> want = WantMask(c, s);
+        const std::vector<uint8_t> want_g = WantMask(c, g);
+        std::vector<uint8_t> want_and(count), want_and_g(count);
+        for (size_t i = 0; i < count; ++i) {
+          want_and[i] = pre[i] & want[i];
+          want_and_g[i] = pre[i] & want_g[i];
+        }
+        for (SimdLevel level : SupportedSimdLevels()) {
+          ForceLevel(level);
+          const SimdOps& ops = SimdDispatch();
+          SCOPED_TRACE(::testing::Message()
+                       << "level=" << SimdLevelName(level) << " base=" << base
+                       << " r=" << r << " rows=" << count);
+          std::vector<uint8_t> keep(count, 7);
+          EXPECT_EQ(ops.mask_sweep(s, count, keep.data()), SetCount(want));
+          EXPECT_EQ(keep, want) << "sweep";
+          ExpectCompactEquals(ops, keep.data(), want);
+          keep = pre;
+          EXPECT_EQ(ops.mask_and(s, count, keep.data()), SetCount(want_and));
+          EXPECT_EQ(keep, want_and) << "and";
+          ExpectCompactEquals(ops, keep.data(), want_and);
+          keep.assign(count, 7);
+          EXPECT_EQ(ops.mask_sweep_gather(g, count, keep.data()),
+                    SetCount(want_g));
+          EXPECT_EQ(keep, want_g) << "sweep gather";
+          ExpectCompactEquals(ops, keep.data(), want_g);
+          keep = pre;
+          EXPECT_EQ(ops.mask_and_gather(g, count, keep.data()),
+                    SetCount(want_and_g));
+          EXPECT_EQ(keep, want_and_g) << "and gather";
+          ExpectCompactEquals(ops, keep.data(), want_and_g);
+        }
+      }
+    }
+  }
+  RestoreDefaultLevel();
+}
+
+// The multi-query forms on the same tie-dense columns: group sizes cover
+// the 8- and 4-query register groups and their single-query tails.  Query
+// j moves its values by m = j % 3 - 1 and widens its radius by |m|, so
+// each tie row of the columns stays a tie on one side for every query.
+TEST(SimdFilterTest, IntegerTiesSettleExactlyInMultiKernels) {
+  const std::vector<double> pool = {0, 3, 7, 12, 20, 31, 45};
+  const size_t kStride = 256;
+  for (double base : {40.0, 16777217.0}) {
+    for (size_t count : {9u, 100u, 255u}) {
+      Rng rng(static_cast<uint64_t>(base) + count);
+      const double r = 3.0;
+      const TieColumns c =
+          MakeTieColumns(count, base, pool.data(), pool.size(), r, &rng);
+      for (size_t nq : {1u, 4u, 5u, 8u, 13u, 16u}) {
+        std::vector<ExactSlot> slots(nq);
+        std::vector<ExactSlotGather> gslots(nq);
+        std::vector<std::vector<double>> qd(nq);
+        std::vector<std::vector<float>> qf(nq);
+        for (size_t j = 0; j < nq; ++j) {
+          const double move = double(j % 3) - 1;
+          const double rj = r + std::fabs(move);
+          slots[j] = TieSlot(c, base + move, rj);
+          for (double p : pool) {
+            qd[j].push_back(base + p + move);
+            qf[j].push_back(FilterValue(qd[j].back()));
+          }
+          gslots[j] = TieGatherSlot(c, qd[j], qf[j], rj);
+        }
+        for (SimdLevel level : SupportedSimdLevels()) {
+          ForceLevel(level);
+          const SimdOps& ops = SimdDispatch();
+          std::vector<uint8_t> keep(nq * kStride, 7);
+          std::vector<size_t> counts(nq);
+          ops.mask_sweep_multi(slots.data(), nq, count, keep.data(), kStride,
+                               counts.data());
+          for (size_t j = 0; j < nq; ++j) {
+            SCOPED_TRACE(::testing::Message()
+                         << "multi level=" << SimdLevelName(level)
+                         << " base=" << base << " rows=" << count
+                         << " nq=" << nq << " q=" << j);
+            const std::vector<uint8_t> want = WantMask(c, slots[j]);
+            const std::vector<uint8_t> got(keep.begin() + j * kStride,
+                                           keep.begin() + j * kStride + count);
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(counts[j], SetCount(want));
+            ExpectCompactEquals(ops, got.data(), want);
+          }
+          keep.assign(nq * kStride, 7);
+          ops.mask_sweep_gather_multi(gslots.data(), nq, count, keep.data(),
+                                      kStride, counts.data());
+          for (size_t j = 0; j < nq; ++j) {
+            SCOPED_TRACE(::testing::Message()
+                         << "multi gather level=" << SimdLevelName(level)
+                         << " base=" << base << " rows=" << count
+                         << " nq=" << nq << " q=" << j);
+            const std::vector<uint8_t> want = WantMask(c, gslots[j]);
+            const std::vector<uint8_t> got(keep.begin() + j * kStride,
+                                           keep.begin() + j * kStride + count);
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(counts[j], SetCount(want));
+            ExpectCompactEquals(ops, got.data(), want);
+          }
+        }
+      }
+    }
+  }
+  RestoreDefaultLevel();
+}
+
 // The PMI_SIMD knob itself: unknown values ("avx2" names no level)
 // fall back to a supported level instead of crashing, and "scalar"
 // always pins the scalar table.
