@@ -66,7 +66,10 @@
 // file.  The hard (exit-gating) checks are that warm answers are
 // bit-identical to cold and that the warm passes do zero physical
 // reads; the cold/warm speedup and the logical PA (which the pool must
-// not change) are reported.
+// not change) are reported.  A last buffer_pool row runs one SPB-tree
+// kNN batch at 1 and at 2 threads on one shared 128 KB pool and reports
+// thread time per query and the 2-thread/1-thread ratio: the cost of
+// pool-mutex contention between two readers.
 //
 // Emits one JSON document to stdout (progress chatter on stderr).  Its
 // config records the host (bench/host_config.h), and every throughput
@@ -1172,6 +1175,48 @@ int main(int argc, char** argv) {
                  mrq_speedup, best_cold_knn * 1e3, best_warm_knn * 1e3,
                  knn_speedup, warm_physical_reads,
                  match ? "" : "  MISMATCH");
+  }
+
+  // ---- buffer_pool contention: 1 vs 2 threads on one 128 KB pool ----------
+  // The same SPB-tree kNN batch at 1 and at 2 batch threads, every pin
+  // of both through one pool of the paper's cache size.  Thread time per
+  // query is wall time x threads / queries: with no contention it stays
+  // flat, so the 2-thread/1-thread ratio measures what the pool mutex
+  // costs two concurrent readers.
+  {
+    IndexOptions copts;
+    copts.buffer_pool =
+        std::make_shared<BufferPool>(copts.page_size, copts.cache_bytes);
+    auto index = MakeIndex("SPB-tree", copts);
+    index->Build(bd.data, *bd.metric, pivots);
+    std::vector<std::vector<Neighbor>> knn_sink;
+    double ms_per_query[2] = {0, 0};
+    for (uint32_t threads = 1; threads <= 2; ++threads) {
+      ThreadPool::SetGlobalThreads(threads);
+      index->KnnQueryBatch(queries, k, &knn_sink);  // untimed warm-up
+      double best = 1e300;
+      for (uint32_t rep = 0; rep < repeats; ++rep) {
+        best = std::min(best, index->KnnQueryBatch(queries, k, &knn_sink)
+                                  .seconds);
+      }
+      ms_per_query[threads - 1] = best * 1e3 * threads / queries.size();
+    }
+    const double ratio =
+        ms_per_query[0] > 0 ? ms_per_query[1] / ms_per_query[0] : 0;
+    char extra[256];
+    std::snprintf(extra, sizeof(extra),
+                  "\"index\": \"SPB-tree\", \"pool_bytes\": %zu, %s, %s, %s, %s",
+                  copts.cache_bytes,
+                  Num("knn_ms_per_query_1t", ms_per_query[0]).c_str(),
+                  Num("knn_ms_per_query_2t", ms_per_query[1]).c_str(),
+                  Num("knn_contention_ratio_2t", ratio).c_str(),
+                  ValidJson(2).c_str());
+    json.Result("buffer_pool", extra);
+    std::fprintf(stderr,
+                 "  SPB-tree kNN on one %zu KB pool: %.4f ms/query at 1 "
+                 "thread, %.4f at 2 (%.2fx)\n",
+                 copts.cache_bytes / 1024, ms_per_query[0], ms_per_query[1],
+                 ratio);
   }
   ThreadPool::SetGlobalThreads(0);
 

@@ -5,6 +5,10 @@
 
 #include "src/storage/wal.h"
 
+#if PMI_POISON_FRAMES
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace pmi {
 
 BufferPool::BufferPool(uint32_t page_size, size_t cache_bytes)
@@ -17,7 +21,37 @@ BufferPool::~BufferPool() {
   // Every store must have unregistered (PagedFile does so in its
   // destructor); remaining frames are just memory.
   assert(stores_.empty());
+  for (auto& up : frames_) UnpoisonFrame(*up);
 }
+
+void BufferPool::PoisonFrame(const Frame& f) const {
+#if PMI_POISON_FRAMES
+  ASAN_POISON_MEMORY_REGION(f.data.get(), page_size_);
+#else
+  (void)f;
+#endif
+}
+
+void BufferPool::UnpoisonFrame(const Frame& f) const {
+#if PMI_POISON_FRAMES
+  ASAN_UNPOISON_MEMORY_REGION(f.data.get(), page_size_);
+#else
+  (void)f;
+#endif
+}
+
+void BufferPool::PoisonIfUnpinnedLocked(const Frame& f) const {
+  if (PMI_POISON_FRAMES && f.pins.load(std::memory_order_acquire) == 0) {
+    PoisonFrame(f);
+  }
+}
+
+#if PMI_POISON_FRAMES
+void BufferPool::ReleasePin(Frame* f) {
+  std::lock_guard<PoolMutex> lock(mu_);
+  if (f->pins.fetch_sub(1, std::memory_order_release) == 1) PoisonFrame(*f);
+}
+#endif
 
 uint64_t BufferPool::RegisterStore(PageStore* store,
                                    PerfCounters* fallback_counters) {
@@ -75,7 +109,9 @@ BufferPool::Frame* BufferPool::FindVictimLocked() {
     if (f->dirty) {
       auto sit = stores_.find(f->store_id);
       assert(sit != stores_.end());
+      UnpoisonFrame(*f);
       Status s = sit->second.store->WriteBack(f->page, f->data.get());
+      PoisonFrame(*f);
       if (!s.ok()) {
         // Never lose data to make room: the page stays resident and
         // dirty, the failure is counted, the sweep moves on (the pool
@@ -123,6 +159,7 @@ StatusOr<PageHandle> BufferPool::Pin(uint64_t store_id, PageId page,
   if (it != map_.end()) {
     Frame* f = it->second;
     f->pins.fetch_add(1, std::memory_order_relaxed);
+    UnpoisonFrame(*f);
     f->referenced = true;
     if (for_write) f->dirty = true;
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -130,9 +167,11 @@ StatusOr<PageHandle> BufferPool::Pin(uint64_t store_id, PageId page,
     return PageHandle(this, f, for_write);
   }
   Frame* f = AcquireFrameLocked();
+  UnpoisonFrame(*f);
   if (load) {
     Status s = sit->second.store->ReadInto(page, f->data.get());
     if (!s.ok()) {
+      PoisonFrame(*f);
       free_.push_back(f);
       return s;
     }
@@ -169,7 +208,9 @@ void BufferPool::Readahead(uint64_t store_id, PageId first, uint32_t count) {
     } else {
       return;
     }
+    UnpoisonFrame(*f);
     Status s = sit->second.store->ReadInto(page, f->data.get());
+    PoisonFrame(*f);  // unpinned until a Pin hits it
     if (!s.ok()) {
       free_.push_back(f);
       return;
@@ -197,7 +238,9 @@ Status BufferPool::FlushStore(uint64_t store_id) {
   for (auto& up : frames_) {
     Frame* f = up.get();
     if (!f->valid || f->store_id != store_id || !f->dirty) continue;
+    UnpoisonFrame(*f);
     Status s = sit->second.store->WriteBack(f->page, f->data.get());
+    PoisonIfUnpinnedLocked(*f);
     if (!s.ok()) {
       write_back_failures_.fetch_add(1, std::memory_order_relaxed);
       if (first_error.ok()) first_error = s;
@@ -217,7 +260,9 @@ Status BufferPool::FlushPageIfDirty(uint64_t store_id, PageId page) {
   auto it = map_.find(FrameKey(store_id, page));
   if (it == map_.end() || !it->second->dirty) return OkStatus();
   Frame* f = it->second;
+  UnpoisonFrame(*f);
   Status s = sit->second.store->WriteBack(f->page, f->data.get());
+  PoisonIfUnpinnedLocked(*f);
   if (!s.ok()) {
     write_back_failures_.fetch_add(1, std::memory_order_relaxed);
     return s;
@@ -240,7 +285,9 @@ Status BufferPool::EvictPage(uint64_t store_id, PageId page) {
   if (f->dirty) {
     auto sit = stores_.find(store_id);
     assert(sit != stores_.end());
+    UnpoisonFrame(*f);
     Status s = sit->second.store->WriteBack(f->page, f->data.get());
+    PoisonFrame(*f);
     if (!s.ok()) {
       // Typed failure, nothing lost: page stays resident and dirty.
       write_back_failures_.fetch_add(1, std::memory_order_relaxed);

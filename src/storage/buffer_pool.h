@@ -35,11 +35,21 @@
 // Locking: one mutex serializes pool metadata and store I/O (simple and
 // TSan-clean; the stores are memcpy-fast in the common in-memory case).
 // Every pin of every store takes it, so it spins briefly before parking
-// (PoolMutex).
-// Pin counts are atomic so handle release never takes the lock, and the
-// eviction sweep's pins==0 check (acquire) pairs with the release
-// decrement in PageHandle to order a writer's last stores before any
-// write-back read of the frame.
+// (PoolMutex).  Callers that read many records from one page hold that
+// page's pin instead of re-pinning it (RecordFile::Reader), so the
+// mutex is taken once per page run, not once per record.
+// Pin counts are atomic so handle release never takes the lock (except
+// in ASan builds, below), and the eviction sweep's pins==0 check
+// (acquire) pairs with the release decrement in PageHandle to order a
+// writer's last stores before any write-back read of the frame.
+//
+// Stale views under AddressSanitizer: frames are never freed, so a
+// pointer kept past its handle would read valid memory.  ASan builds
+// therefore poison the bytes of every frame no handle pins.  There the
+// release of a frame's last pin takes the pool mutex and poisons it,
+// Pin unpoisons, and the pool's own loads and write-backs of unpinned
+// frames (miss, readahead, eviction, flush) unpoison around the access.
+// A read through a view that outlived its pin is then an ASan report.
 
 #ifndef PMI_STORAGE_BUFFER_POOL_H_
 #define PMI_STORAGE_BUFFER_POOL_H_
@@ -56,6 +66,18 @@
 #include "src/core/counters.h"
 #include "src/core/status.h"
 #include "src/storage/env.h"
+
+// PMI_POISON_FRAMES: 1 in AddressSanitizer builds (see the file comment).
+#if defined(__SANITIZE_ADDRESS__)
+#define PMI_POISON_FRAMES 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PMI_POISON_FRAMES 1
+#endif
+#endif
+#ifndef PMI_POISON_FRAMES
+#define PMI_POISON_FRAMES 0
+#endif
 
 namespace pmi {
 
@@ -215,6 +237,18 @@ class BufferPool {
   Frame* FindVictimLocked();
   void DetachFrameLocked(Frame* f);
 
+  // Poison state of a frame's bytes; no-ops unless PMI_POISON_FRAMES.
+  // Every frame with zero pins is poisoned outside the pool mutex.
+  void PoisonFrame(const Frame& f) const;
+  void UnpoisonFrame(const Frame& f) const;
+  /// Re-poisons `f` after a pool access unless a handle pins it.
+  void PoisonIfUnpinnedLocked(const Frame& f) const;
+#if PMI_POISON_FRAMES
+  /// PageHandle's release in poisoning builds: drops one pin under the
+  /// mutex, so a concurrent Pin cannot unpoison before the poison.
+  void ReleasePin(Frame* f);
+#endif
+
   const uint32_t page_size_;
   const size_t capacity_frames_;
 
@@ -312,10 +346,14 @@ class PageHandle {
 
   void Release() {
     if (frame_ != nullptr) {
+#if PMI_POISON_FRAMES
+      pool_->ReleasePin(frame_);
+#else
       // Release: orders this handle's stores before any write-back read
       // by an evictor that observes pins == 0 (acquire) under the pool
       // mutex.
       frame_->pins.fetch_sub(1, std::memory_order_release);
+#endif
       frame_ = nullptr;
       pool_ = nullptr;
       writable_ = false;

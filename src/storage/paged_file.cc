@@ -83,12 +83,15 @@ Status PagedFile::WriteBack(PageId page, const char* src) {
   return OkStatus();
 }
 
-StatusOr<PageHandle> PagedFile::ReadPage(PageId id) const {
+Status PagedFile::LogicalRead(PageId id) const {
   if (id >= pages_.size()) return PageOutOfRange("read", id, num_pages());
-  {
-    std::lock_guard<std::mutex> lock(sim_mu_);
-    TouchLocked(id, /*dirty=*/false);
-  }
+  std::lock_guard<std::mutex> lock(sim_mu_);
+  TouchLocked(id, /*dirty=*/false);
+  return OkStatus();
+}
+
+StatusOr<PageHandle> PagedFile::ReadPage(PageId id) const {
+  PMI_RETURN_IF_ERROR(LogicalRead(id));
   return pool_->Pin(store_id_, id, /*for_write=*/false);
 }
 

@@ -85,6 +85,12 @@ class PagedFile : private PageStore {
   /// persisted bytes.
   StatusOr<PageHandle> ReadPage(PageId id) const;
 
+  /// The logical half of ReadPage: the same bounds check and the same
+  /// simulated-pool touch, without a pin.  For a reader that already
+  /// holds a pin on `id` (RecordFile::Reader), so a run of reads on one
+  /// page charges exactly what one ReadPage per read would.
+  Status LogicalRead(PageId id) const;
+
   /// Pins page contents for mutation.  Pulls the page into the pools
   /// (charging a read on miss if `load` -- pass false when overwriting
   /// wholesale) and marks it dirty; the page write is charged at

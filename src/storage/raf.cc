@@ -35,48 +35,61 @@ RafRef RecordFile::Append(const char* data, uint32_t len) {
   return ref;
 }
 
-Status RecordFile::ReadRecord(const RafRef& ref,
-                              std::vector<char>* out) const {
-  if (ref.offset > end_ || ref.length > end_ - ref.offset) {
+StatusOr<std::string_view> RecordFile::Reader::Read(const RafRef& ref) {
+  const uint64_t end = raf_->end_;
+  if (ref.offset > end || ref.length > end - ref.offset) {
     return DataLossError(
         "record ref [" + std::to_string(ref.offset) + ", +" +
         std::to_string(ref.length) + ") exceeds the stored " +
-        std::to_string(end_) + " bytes");
+        std::to_string(end) + " bytes");
   }
-  out->resize(ref.length);
-  const uint32_t ps = file_->page_size();
-  uint64_t pos = ref.offset;
-  uint32_t remaining = ref.length;
-  char* dst = out->data();
+  if (ref.length == 0) return std::string_view();  // touches no page
+  const uint32_t ps = raf_->file_->page_size();
+  uint32_t page_idx = static_cast<uint32_t>(ref.offset / ps);
+  uint32_t in_page = static_cast<uint32_t>(ref.offset % ps);
+  if (ref.length <= ps - in_page) {
+    PMI_RETURN_IF_ERROR(Touch(page_idx));
+    return std::string_view(held_.data() + in_page, ref.length);
+  }
   // A record longer than a page spans consecutive file pages: prime the
   // physical pool for the whole span (logical PA is untouched).
-  if (ref.length > ps) {
-    uint32_t first = static_cast<uint32_t>(pos / ps);
-    uint32_t last = static_cast<uint32_t>((pos + ref.length - 1) / ps);
-    if (first < pages_.size()) {
-      // The span usually maps to consecutively allocated file pages;
-      // readahead covers the contiguous prefix.
-      uint32_t run = 1;
-      while (first + run <= last && first + run < pages_.size() &&
-             pages_[first + run] == pages_[first] + run) {
-        ++run;
-      }
-      file_->ReadaheadPages(pages_[first], run);
+  const std::vector<PageId>& pages = raf_->pages_;
+  if (ref.length > ps && page_idx < pages.size()) {
+    const uint32_t last =
+        static_cast<uint32_t>((ref.offset + ref.length - 1) / ps);
+    // The span usually maps to consecutively allocated file pages;
+    // readahead covers the contiguous prefix.
+    uint32_t run = 1;
+    while (page_idx + run <= last && page_idx + run < pages.size() &&
+           pages[page_idx + run] == pages[page_idx] + run) {
+      ++run;
     }
+    raf_->file_->ReadaheadPages(pages[page_idx], run);
   }
+  spill_.resize(ref.length);
+  char* dst = spill_.data();
+  uint32_t remaining = ref.length;
   while (remaining > 0) {
-    uint32_t page_idx = static_cast<uint32_t>(pos / ps);
-    uint32_t in_page = static_cast<uint32_t>(pos % ps);
-    if (page_idx >= pages_.size()) {
-      return DataLossError("record ref reaches past the last RAF page");
-    }
-    uint32_t chunk = std::min(remaining, ps - in_page);
-    PMI_ASSIGN_OR_RETURN(PageHandle h, file_->ReadPage(pages_[page_idx]));
-    std::memcpy(dst, h.data() + in_page, chunk);
-    pos += chunk;
+    PMI_RETURN_IF_ERROR(Touch(page_idx));
+    const uint32_t chunk = std::min(remaining, ps - in_page);
+    std::memcpy(dst, held_.data() + in_page, chunk);
     dst += chunk;
     remaining -= chunk;
+    ++page_idx;
+    in_page = 0;
   }
+  return std::string_view(spill_.data(), ref.length);
+}
+
+Status RecordFile::Reader::Touch(uint32_t page_idx) {
+  if (page_idx >= raf_->pages_.size()) {
+    return DataLossError("record ref reaches past the last RAF page");
+  }
+  const PageId id = raf_->pages_[page_idx];
+  if (held_ && id == held_page_) return raf_->file_->LogicalRead(id);
+  held_.Reset();  // drop the old pin before taking the next
+  PMI_ASSIGN_OR_RETURN(held_, raf_->file_->ReadPage(id));
+  held_page_ = id;
   return OkStatus();
 }
 

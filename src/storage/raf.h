@@ -3,16 +3,21 @@
 // The Omni-family, M-index, and SPB-tree keep data objects out of their
 // index structures in a separate random access file (Sections 5.2-5.4),
 // so index node size is independent of object size.  RecordFile is that
-// store: an append-only byte store over a PagedFile where reading a
-// record charges one page read per touched page (minus buffer-pool
-// hits), which reproduces the paper's duplicate-RAF-page-access
-// behaviour for MkNNQ.  (The OS-file abstraction of the same name lives
-// in src/storage/env.h; this class is the paper's "RAF" record store.)
+// store: an append-only byte store over a PagedFile.  Records are read
+// through a RecordFile::Reader, which hands out a record as a view into
+// the pinned pool frame and keeps that page pinned for the next read.
+// Every record read still charges its pages' logical touches in order
+// (one page read per simulated-pool miss), which reproduces the paper's
+// duplicate-RAF-page-access behaviour for MkNNQ; only the physical pin
+// is shared by a run of records on one page.  (The OS-file abstraction
+// of the same name lives in src/storage/env.h; this class is the
+// paper's "RAF" record store.)
 
 #ifndef PMI_STORAGE_RAF_H_
 #define PMI_STORAGE_RAF_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/core/status.h"
@@ -40,14 +45,42 @@ class RecordFile {
   /// Appends `len` bytes; returns where they landed.
   RafRef Append(const char* data, uint32_t len);
 
-  /// Reads a record into `out` (resized).  The caller may reinterpret the
-  /// buffer start as float data: the vector's allocation is suitably
-  /// aligned and records are copied to offset 0.  A ref outside the
-  /// appended byte range is kDataLoss, never an out-of-bounds read.
-  Status ReadRecord(const RafRef& ref, std::vector<char>* out) const;
-
   uint64_t size_bytes() const { return end_; }
   size_t disk_bytes() const { return file_->bytes(); }
+
+  /// The one read path of a RecordFile.  A reader holds the pin of the
+  /// last page it read: a record on that page skips the pool (its
+  /// logical touch is still charged, through PagedFile::LogicalRead), a
+  /// record on another page drops the old pin and pins the new page.
+  /// One reader per query; not thread-safe.
+  class Reader {
+   public:
+    explicit Reader(const RecordFile* raf) : raf_(raf) {}
+
+    Reader(const Reader&) = delete;
+    Reader& operator=(const Reader&) = delete;
+
+    /// The bytes of record `ref`.  A record within one page is a view
+    /// into the pinned frame; a longer one is copied, with readahead,
+    /// into this reader's buffer.  The view stays valid until the next
+    /// Read or the reader's destruction.  Frames and the buffer are
+    /// 16-byte aligned, so a view is as aligned as the record's offset
+    /// in its page (records of one vector dataset share a length that
+    /// is a multiple of 4, so their floats load aligned).  A ref outside
+    /// the appended byte range is kDataLoss, never an out-of-bounds
+    /// read.
+    StatusOr<std::string_view> Read(const RafRef& ref);
+
+   private:
+    /// Charges the logical touch of RAF page `page_idx` and leaves that
+    /// page pinned in held_.
+    Status Touch(uint32_t page_idx);
+
+    const RecordFile* raf_;
+    PageHandle held_;
+    PageId held_page_ = kInvalidPageId;
+    std::vector<char> spill_;  // records longer than a page
+  };
 
  private:
   RecordFile(const RecordFile&) = default;  // callers rebind the file

@@ -1,12 +1,17 @@
 // Unit tests for the simulated-disk substrate: PagedFile (PA accounting,
-// LRU behaviour), RecordFile, the Hilbert curve, and the buffer pool's
-// behaviour over a faulting Env-backed page store.
+// LRU behaviour), RecordFile and its Reader (logical charges, pins per
+// page run, views over a held pin), the Hilbert curve, and the buffer
+// pool's behaviour over a faulting Env-backed page store.
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +22,30 @@
 #include "src/storage/hilbert.h"
 #include "src/storage/paged_file.h"
 #include "src/storage/raf.h"
+
+// Counts every heap allocation of the test binary, for the
+// allocation-free check of an in-page RAF read.  The replacements pair
+// malloc with free; GCC cannot see that through inlined deletes.
+static std::atomic<size_t> g_allocations{0};
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace pmi {
 namespace {
@@ -135,6 +164,13 @@ TEST(PagedFileTest, CloneSharesPagesCopyOnWrite) {
   EXPECT_EQ(clone->Read(a).data()[4095], 9);
 }
 
+std::vector<char> Bytes(std::string_view v) { return {v.begin(), v.end()}; }
+
+uint64_t Pins(const BufferPool& pool) {
+  BufferPoolStats s = pool.stats();
+  return s.hits + s.misses;
+}
+
 TEST(RafTest, RoundTripsRecords) {
   PerfCounters c;
   PagedFile f(4096, 128 * 1024, &c);
@@ -147,10 +183,11 @@ TEST(RafTest, RoundTripsRecords) {
     for (auto& ch : data) ch = static_cast<char>(rng());
     recs.emplace_back(raf.Append(data.data(), len), data);
   }
-  std::vector<char> out;
+  RecordFile::Reader reader(&raf);
   for (auto& [ref, expect] : recs) {
-    ASSERT_TRUE(raf.ReadRecord(ref, &out).ok());
-    EXPECT_EQ(out, expect);
+    StatusOr<std::string_view> out = reader.Read(ref);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(Bytes(*out), expect);
   }
 }
 
@@ -164,8 +201,8 @@ TEST(RafTest, RecordsDoNotStraddlePagesWhenTheyFit) {
   EXPECT_EQ(second.offset % 256, 0u) << "record should start a fresh page";
   f.DropCache();
   c.Reset();
-  std::vector<char> out;
-  ASSERT_TRUE(raf.ReadRecord(second, &out).ok());
+  RecordFile::Reader reader(&raf);
+  ASSERT_TRUE(reader.Read(second).ok());
   EXPECT_EQ(c.page_reads, 1u) << "a fitting record costs one page read";
 }
 
@@ -178,9 +215,10 @@ TEST(RafTest, LargeRecordsSpanPagesAndChargeEachPage) {
   RafRef ref = raf.Append(blob.data(), 700);
   f.DropCache();
   c.Reset();
-  std::vector<char> out;
-  ASSERT_TRUE(raf.ReadRecord(ref, &out).ok());
-  EXPECT_EQ(out, blob);
+  RecordFile::Reader reader(&raf);
+  StatusOr<std::string_view> out = reader.Read(ref);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(Bytes(*out), blob);
   EXPECT_EQ(c.page_reads, 3u);
 }
 
@@ -190,15 +228,172 @@ TEST(RafTest, OutOfBoundsRefIsDataLossNotUb) {
   RecordFile raf(&f);
   std::vector<char> blob(100, 'x');
   raf.Append(blob.data(), 100);
-  std::vector<char> out;
+  RecordFile::Reader reader(&raf);
   // Past-the-end offset, overlong length, and an offset+length overflow
   // (as a corrupt snapshot could produce) must all surface as kDataLoss.
-  EXPECT_EQ(raf.ReadRecord({200, 10}, &out).code(), StatusCode::kDataLoss);
-  EXPECT_EQ(raf.ReadRecord({0, 101}, &out).code(), StatusCode::kDataLoss);
-  EXPECT_EQ(raf.ReadRecord({UINT64_MAX, 16}, &out).code(),
+  EXPECT_EQ(reader.Read({200, 10}).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(reader.Read({0, 101}).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(reader.Read({UINT64_MAX, 16}).status().code(),
             StatusCode::kDataLoss);
-  EXPECT_TRUE(raf.ReadRecord({0, 100}, &out).ok());
+  EXPECT_TRUE(reader.Read({0, 100}).ok());
 }
+
+// Appends `count` records of `len` bytes to `raf`; record i holds byte i.
+std::vector<RafRef> AppendNumbered(RecordFile* raf, int count, uint32_t len) {
+  std::vector<RafRef> refs;
+  for (int i = 0; i < count; ++i) {
+    std::vector<char> rec(len, static_cast<char>(i));
+    refs.push_back(raf->Append(rec.data(), len));
+  }
+  return refs;
+}
+
+TEST(RafTest, ReaderChargesLikeOneReadPagePerRecordAndPinsOncePerRun) {
+  // Twin files with one RAF each: the reader reads the records of one,
+  // the other charges one ReadPage per record.  Both run on a 2-frame
+  // logical cache, and between record reads both read a page that is
+  // not the RAF's (as an index node read would), so the held page falls
+  // out of the simulated pool and must be charged again.
+  PerfCounters c, twin_c;
+  PagedFile f(256, 2 * 256, &c);
+  PagedFile twin(256, 2 * 256, &twin_c);
+  RecordFile raf(&f), twin_raf(&twin);
+  std::vector<RafRef> refs = AppendNumbered(&raf, 12, 60);  // 4 per page
+  AppendNumbered(&twin_raf, 12, 60);
+  const PageId other = f.Allocate();
+  ASSERT_EQ(twin.Allocate(), other);
+  f.DropCache();
+  twin.DropCache();
+  c.Reset();
+  twin_c.Reset();
+
+  RecordFile::Reader reader(&raf);
+  // A run of four records on page 0 is one pool pin.
+  uint64_t pins = Pins(*f.pool());
+  for (int i = 0; i < 4; ++i) {
+    StatusOr<std::string_view> out = reader.Read(refs[i]);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(Bytes(*out), std::vector<char>(60, static_cast<char>(i)));
+    ASSERT_TRUE(twin.ReadPage(refs[i].offset / 256).ok());
+  }
+  EXPECT_EQ(Pins(*f.pool()) - pins, 1u);
+  EXPECT_EQ(c.page_reads, twin_c.page_reads);
+  EXPECT_EQ(c.page_accesses(), twin_c.page_accesses());
+
+  const int order[] = {4, 5, 0, 1, 9, 10, 2, 11, 3, 8};
+  for (int step = 0; step < 10; ++step) {
+    const RafRef& ref = refs[order[step]];
+    if (step % 3 == 2) {  // a node read between two records
+      ASSERT_TRUE(f.ReadPage(other).ok());
+      ASSERT_TRUE(twin.ReadPage(other).ok());
+    }
+    StatusOr<std::string_view> out = reader.Read(ref);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(Bytes(*out),
+              std::vector<char>(60, static_cast<char>(order[step])));
+    ASSERT_TRUE(twin.ReadPage(ref.offset / 256).ok());
+    EXPECT_EQ(c.page_reads, twin_c.page_reads) << "step " << step;
+    EXPECT_EQ(c.page_accesses(), twin_c.page_accesses()) << "step " << step;
+  }
+  EXPECT_GT(c.page_reads, 3u) << "the sequence must re-read evicted pages";
+}
+
+TEST(RafTest, HeldViewSurvivesAnOvercommittedOneFramePool) {
+  // One frame shared by the RAF's file and a second file: reading the
+  // second file while the reader holds its page forces an overcommit,
+  // never an eviction of the held frame.
+  auto pool = std::make_shared<BufferPool>(256, 256);
+  PerfCounters c, other_c;
+  PagedFile f(256, 256, &c, pool);
+  PagedFile g(256, 256, &other_c, pool);
+  RecordFile raf(&f);
+  std::vector<RafRef> refs = AppendNumbered(&raf, 2, 100);  // both page 0
+  {
+    PageId p = g.Allocate();
+    std::memset(g.Write(p, /*load=*/false).mutable_data(), 'g', 256);
+    g.Flush();
+  }
+  RecordFile::Reader reader(&raf);
+  StatusOr<std::string_view> first = reader.Read(refs[0]);
+  ASSERT_TRUE(first.ok());
+  {
+    PageHandle h = g.Read(0);
+    EXPECT_EQ(h.data()[255], 'g');
+    EXPECT_GT(pool->resident_frames(), pool->capacity_frames());
+    EXPECT_EQ(Bytes(*first), std::vector<char>(100, 0));
+  }
+  EXPECT_EQ(Bytes(*first), std::vector<char>(100, 0));
+  StatusOr<std::string_view> second = reader.Read(refs[1]);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(Bytes(*second), std::vector<char>(100, 1));
+}
+
+TEST(RafTest, SpanningRecordChargesEveryPageAfterAHeldPage) {
+  // A record longer than a page is not padded to a page start: this one
+  // starts inside the reader's held page 0 and runs through page 3.
+  PerfCounters c;
+  PagedFile f(256, 8 * 256, &c);
+  RecordFile raf(&f);
+  std::vector<char> small(100, 's');
+  RafRef head = raf.Append(small.data(), 100);
+  std::vector<char> blob(700);
+  for (int i = 0; i < 700; ++i) blob[i] = static_cast<char>(i % 128);
+  RafRef span = raf.Append(blob.data(), 700);
+  ASSERT_EQ(span.offset, 100u);
+  f.DropCache();
+  c.Reset();
+  RecordFile::Reader reader(&raf);
+  const uint64_t pins = Pins(*f.pool());
+  ASSERT_TRUE(reader.Read(head).ok());
+  EXPECT_EQ(c.page_reads, 1u);
+  StatusOr<std::string_view> out = reader.Read(span);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(Bytes(*out), blob);
+  EXPECT_EQ(c.page_reads, 4u) << "pages 1-3 are charged; page 0 is resident";
+  EXPECT_EQ(Pins(*f.pool()) - pins, 4u) << "page 0 is pinned once";
+  // Read again: every page is now logically resident and charges nothing.
+  ASSERT_TRUE(reader.Read(span).ok());
+  EXPECT_EQ(c.page_reads, 4u);
+}
+
+TEST(RafTest, InPageReadDoesNotAllocate) {
+  PerfCounters c;
+  PagedFile f(4096, 128 * 1024, &c);
+  RecordFile raf(&f);
+  std::vector<RafRef> refs = AppendNumbered(&raf, 8, 80);
+  RecordFile::Reader reader(&raf);
+  ASSERT_TRUE(reader.Read(refs[0]).ok());  // pins page 0
+  const size_t before = g_allocations.load();
+  for (int i = 1; i < 8; ++i) {
+    StatusOr<std::string_view> out = reader.Read(refs[i]);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ((*out)[79], static_cast<char>(i));
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+#if PMI_POISON_FRAMES
+TEST(RafDeathTest, ViewReadAfterTheNextReadIsAnAsanReport) {
+  PerfCounters c;
+  PagedFile f(256, 1024, &c);
+  RecordFile raf(&f);
+  std::vector<char> blob(200, 'x');
+  RafRef a = raf.Append(blob.data(), 200);
+  RafRef b = raf.Append(blob.data(), 200);  // starts page 1
+  RecordFile::Reader reader(&raf);
+  StatusOr<std::string_view> view = reader.Read(a);
+  ASSERT_TRUE(view.ok());
+  const char* stale = view->data();
+  EXPECT_EQ(*static_cast<const volatile char*>(stale), 'x');
+  ASSERT_TRUE(reader.Read(b).ok());  // drops the pin on page 0
+  EXPECT_DEATH(
+      {
+        volatile char ch = *static_cast<const volatile char*>(stale);
+        (void)ch;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(PagedFileTest, OutOfRangePageIsDataLoss) {
   PerfCounters c;
