@@ -70,6 +70,32 @@ inline double MbbLowerBound(const double* lo, const double* hi,
   return best;
 }
 
+/// PivotLowerBound over a float-stored mapping (PM-tree, OmniR-tree).  A
+/// caller prunes only when the bound exceeds r by its float-rounding
+/// slack, so rounding can never drop a true result.
+inline double PivotLowerBound(const float* phi_o, const double* phi_q,
+                              uint32_t l) {
+  double best = 0;
+  for (uint32_t i = 0; i < l; ++i) {
+    best = std::max(best, std::fabs(double(phi_o[i]) - phi_q[i]));
+  }
+  return best;
+}
+
+/// MbbLowerBound over a float-stored MBB, less the slack eps.
+inline double MbbLowerBound(const float* lo, const float* hi,
+                            const double* phi_q, uint32_t l, double eps) {
+  double best = 0;
+  for (uint32_t i = 0; i < l; ++i) {
+    if (phi_q[i] < lo[i]) {
+      best = std::max(best, double(lo[i]) - phi_q[i]);
+    } else if (phi_q[i] > hi[i]) {
+      best = std::max(best, phi_q[i] - double(hi[i]));
+    }
+  }
+  return std::max(0.0, best - eps);
+}
+
 /// Lemma 2 (range-pivot filtering).  A ball region with center pivot
 /// distance `d_q_center` and covering radius `region_r` can be pruned when
 /// d(q, center) > region_r + r.

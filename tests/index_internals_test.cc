@@ -246,10 +246,12 @@ TEST(SpbInternalsTest, KnownAnswersAndCostsOnAFixedScript) {
 }
 
 TEST(MergedQueryBodyTest, KnownAnswersAndCostsOnAFixedScript) {
-  // Answers and per-query costs of a fixed script on the indexes whose
-  // MRQ runs their MkNNQ body at a fixed radius, recorded while each
-  // still kept a separate range traversal.  A merged body that verifies
-  // a row the range search pruned (or prunes one it verified) moves a
+  // Answers and per-query costs of a fixed script on every index that
+  // runs MRQ through its MkNNQ body at a fixed radius, each recorded
+  // while that index still kept separate MRQ and MkNNQ traversals (for
+  // M-index and OmniB+tree, MkNNQ's rounds of growing radius).  A merged
+  // body that verifies a row the range search pruned (or prunes one it
+  // verified, or accepts one by Lemma 4 that it verified) moves a
   // compdists entry here.  The script: 600 Words objects, 5 shared
   // pivots, 4 KB pages behind a one-page cache; for each query object,
   // MRQs at r = 0, 6 (1-2% of the data) and max_distance() = 34 (all of
@@ -299,6 +301,26 @@ TEST(MergedQueryBodyTest, KnownAnswersAndCostsOnAFixedScript) {
       {"EPT*-disk", {41, 445, 640, 41, 441, 640, 41, 412, 640, 41, 410, 640},
        {486, 484, 511, 489}, {13, 13, 14, 13, 13, 14, 13, 13, 14, 12, 14, 14},
        {14, 14, 14, 14}},
+      {"PM-tree", {16, 423, 619, 15, 413, 619, 14, 385, 619, 15, 377, 619},
+       {504, 484, 467, 460}, {9, 14, 15, 9, 14, 15, 5, 14, 15, 8, 14, 15},
+       {14, 14, 14, 14}},
+      {"OmniR-tree", {6, 419, 605, 6, 415, 605, 6, 392, 605, 6, 378, 605},
+       {421, 418, 450, 430},
+       {3, 202, 291, 3, 203, 291, 3, 190, 291, 4, 193, 291},
+       {204, 205, 221, 212}},
+      {"SPB-tree", {6, 419, 32, 6, 415, 39, 6, 392, 45, 6, 378, 50},
+       {480, 483, 505, 494}, {5, 10, 6, 6, 10, 6, 6, 10, 6, 6, 10, 6},
+       {10, 10, 10, 10}},
+      {"M-index", {6, 419, 605, 6, 415, 605, 6, 392, 605, 6, 378, 605},
+       {495, 486, 473, 457}, {2, 18, 28, 3, 18, 28, 6, 18, 28, 5, 18, 28},
+       {75, 75, 82, 84}},
+      {"M-index*", {6, 419, 30, 6, 415, 32, 6, 392, 34, 6, 378, 44},
+       {472, 450, 470, 480}, {2, 18, 28, 3, 18, 28, 6, 18, 28, 5, 18, 28},
+       {18, 18, 18, 19}},
+      {"OmniB+tree", {6, 419, 605, 6, 415, 605, 6, 392, 605, 6, 378, 605},
+       {495, 486, 473, 457},
+       {14, 244, 360, 13, 249, 360, 12, 242, 360, 13, 219, 360},
+       {395, 373, 378, 366}},
   };
 
   World w(BenchDatasetId::kWords, 600);

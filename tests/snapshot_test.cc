@@ -118,7 +118,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"LinearScan", true, true},
                       // No SaveImpl: the snapshot degrades to
                       // rebuild-on-open and must still round-trip.
-                      Case{"SPB-tree", false, false}),
+                      Case{"SPB-tree", false, false},
+                      Case{"AESA", false, false},
+                      Case{"PM-tree", false, false},
+                      Case{"OmniSeq", false, false},
+                      Case{"OmniB+tree", false, false},
+                      Case{"OmniR-tree", false, false},
+                      Case{"M-index", false, false},
+                      Case{"M-index*", false, false},
+                      Case{"EPT*-disk", false, false}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return SafeName(info.param.index);
     });
