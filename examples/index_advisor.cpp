@@ -13,6 +13,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/api/metric_db.h"
@@ -123,9 +124,11 @@ int main(int argc, char** argv) {
                                     : s.knn_ms < best_mem->knn_ms))) {
       best_mem = &s;
     }
+    // Disk indexes rank on kNN compdists alone, ties broken by name: the
+    // pick must not depend on CPU jitter.
     if (s.disk && (best_disk == nullptr ||
-                   s.knn_compdists + 100 * s.knn_ms <
-                       best_disk->knn_compdists + 100 * best_disk->knn_ms)) {
+                   std::tie(s.knn_compdists, s.name) <
+                       std::tie(best_disk->knn_compdists, best_disk->name))) {
       best_disk = &s;
     }
   }
@@ -137,8 +140,8 @@ int main(int argc, char** argv) {
                                : "lowest CPU time for a cheap distance");
   }
   if (best_disk != nullptr) {
-    std::printf("  outgrows RAM:  %s (best query profile among the "
-                "disk-based indexes)\n",
+    std::printf("  outgrows RAM:  %s (fewest distance computations among "
+                "the disk-based indexes)\n",
                 best_disk->name.c_str());
   }
   return 0;

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 namespace pmi {
 
@@ -36,26 +35,8 @@ inline double PivotLowerBound(const double* phi_o, const double* phi_q,
   return best;
 }
 
-/// Triangle-inequality upper bound: d(q,o) <= min_i (d(q,pi) + d(o,pi)).
-inline double PivotUpperBound(const double* phi_o, const double* phi_q,
-                              uint32_t l) {
-  double best = std::numeric_limits<double>::infinity();
-  for (uint32_t i = 0; i < l; ++i) best = std::min(best, phi_o[i] + phi_q[i]);
-  return best;
-}
-
-/// Lemma 1, region form.  `lo`/`hi` give the minimum bounding box (MBB) of
-/// mapped vectors; returns true when the MBB misses SR(q) entirely, so the
-/// whole region can be pruned.
-inline bool MbbPrunedByPivots(const double* lo, const double* hi,
-                              const double* phi_q, uint32_t l, double r) {
-  for (uint32_t i = 0; i < l; ++i) {
-    if (lo[i] > phi_q[i] + r || hi[i] < phi_q[i] - r) return true;
-  }
-  return false;
-}
-
-/// Lower bound of d(q,o) over all o whose phi(o) lies in the MBB:
+/// Lemma 1, region form: a lower bound of d(q,o) over all o whose phi(o)
+/// lies in the minimum bounding box (MBB) [lo, hi]:
 /// max_i dist(phi_q[i], [lo_i, hi_i]).  Zero when phi(q) is inside.
 inline double MbbLowerBound(const double* lo, const double* hi,
                             const double* phi_q, uint32_t l) {
@@ -96,14 +77,8 @@ inline double MbbLowerBound(const float* lo, const float* hi,
   return std::max(0.0, best - eps);
 }
 
-/// Lemma 2 (range-pivot filtering).  A ball region with center pivot
-/// distance `d_q_center` and covering radius `region_r` can be pruned when
-/// d(q, center) > region_r + r.
-inline bool PrunedByBall(double d_q_center, double region_r, double r) {
-  return d_q_center > region_r + r;
-}
-
-/// Lemma 2 lower bound for a ball region: max(d(q,c) - R, 0).
+/// Lemma 2 (range-pivot filtering) lower bound for a ball region with
+/// center distance d(q,c) and covering radius R: max(d(q,c) - R, 0).
 inline double BallLowerBound(double d_q_center, double region_r) {
   return std::max(0.0, d_q_center - region_r);
 }
@@ -115,26 +90,11 @@ inline bool PrunedByHyperplane(double d_q_pi, double d_q_pj, double r) {
   return d_q_pi - d_q_pj > 2.0 * r;
 }
 
-/// Lemma 3 lower bound: every o with d(o,pi) <= d(o,pj) satisfies
-/// d(q,o) >= (d(q,pi) - d(q,pj)) / 2.
-inline double HyperplaneLowerBound(double d_q_pi, double d_q_pj) {
-  return std::max(0.0, (d_q_pi - d_q_pj) / 2.0);
-}
-
 /// Lemma 4 (pivot validation).  o is guaranteed to satisfy d(q,o) <= r
 /// when some pivot pi has d(o,pi) <= r - d(q,pi); the verification
 /// distance computation can then be skipped.
 inline bool ValidatedByPivot(double d_o_pi, double d_q_pi, double r) {
   return d_o_pi <= r - d_q_pi;
-}
-
-/// Lemma 4 over a full mapping: true when any pivot validates o.
-inline bool ValidatedByPivots(const double* phi_o, const double* phi_q,
-                              uint32_t l, double r) {
-  for (uint32_t i = 0; i < l; ++i) {
-    if (ValidatedByPivot(phi_o[i], phi_q[i], r)) return true;
-  }
-  return false;
 }
 
 }  // namespace pmi

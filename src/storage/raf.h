@@ -17,9 +17,11 @@
 #define PMI_STORAGE_RAF_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
+#include "src/core/object.h"
 #include "src/core/status.h"
 #include "src/storage/paged_file.h"
 
@@ -29,6 +31,29 @@ namespace pmi {
 struct RafRef {
   uint64_t offset = 0;
   uint32_t length = 0;
+};
+
+/// The 16-byte entry of an index over a RecordFile: an object id and
+/// where its record lies, packed as [oid u32][raf len u32][raf off u64]
+/// (the B+-tree values of OmniB+-tree, SPB-tree and M-index).
+struct RafEntry {
+  static constexpr uint32_t kBytes = 16;
+
+  ObjectId oid = kInvalidObjectId;
+  RafRef ref;
+
+  void Pack(char* out) const {
+    std::memcpy(out, &oid, 4);
+    std::memcpy(out + 4, &ref.length, 4);
+    std::memcpy(out + 8, &ref.offset, 8);
+  }
+  static RafEntry Unpack(const char* p) {
+    RafEntry e;
+    std::memcpy(&e.oid, p, 4);
+    std::memcpy(&e.ref.length, p + 4, 4);
+    std::memcpy(&e.ref.offset, p + 8, 8);
+    return e;
+  }
 };
 
 /// Append-only record store over a PagedFile.

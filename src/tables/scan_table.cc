@@ -1,5 +1,8 @@
 #include "src/tables/scan_table.h"
 
+#include <cmath>
+#include <cstring>
+
 #include "src/core/knn_heap.h"
 #include "src/core/simd.h"
 #include "src/core/thread_pool.h"
@@ -105,6 +108,89 @@ void ScanTableIndex::RemoveImpl(ObjectId id) {
     table_.RemoveRowSwap(i);
     return;
   }
+}
+
+// -- PagedPivotTable ----------------------------------------------------------
+
+PagedPivotTable::PagedPivotTable(const IndexOptions& options,
+                                 PerfCounters* counters, uint32_t width,
+                                 bool per_row_pivots)
+    : seq_(std::make_unique<PagedFile>(options.page_size, options.cache_bytes,
+                                       counters, options.buffer_pool)),
+      width_(width),
+      per_row_(per_row_pivots),
+      rows_per_page_(options.page_size /
+                     (16 + (per_row_pivots ? 12 : 8) * width)) {}
+
+PagedPivotTable PagedPivotTable::Clone(PerfCounters* counters) const {
+  PagedPivotTable t;
+  t.seq_ = seq_->Clone(counters);
+  t.width_ = width_;
+  t.per_row_ = per_row_;
+  t.rows_per_page_ = rows_per_page_;
+  t.rows_ = rows_;
+  return t;
+}
+
+void PagedPivotTable::Append(ObjectId id, const RafRef& ref,
+                             const double* dist, const uint32_t* pidx) {
+  const uint32_t page = rows_ / rows_per_page_;
+  const size_t i = rows_ % rows_per_page_;
+  if (page == seq_->num_pages()) seq_->Allocate();
+  PageHandle h = seq_->Write(page, /*load=*/i != 0);
+  char* p = h.mutable_data();
+  std::memcpy(p + 4 * i, &id, 4);
+  std::memcpy(p + LengthColumn() + 4 * i, &ref.length, 4);
+  std::memcpy(p + OffsetColumn() + 8 * i, &ref.offset, 8);
+  for (uint32_t j = 0; j < width_; ++j) {
+    std::memcpy(p + DistColumn(j) + 8 * i, &dist[j], 8);
+    if (per_row_) std::memcpy(p + PivotColumn(j) + 4 * i, &pidx[j], 4);
+  }
+  ++rows_;
+}
+
+size_t PagedPivotTable::FilterPage(const char* p, uint32_t count,
+                                   const double* q, double r,
+                                   uint32_t* surv) const {
+  const ObjectId* oid = Column<ObjectId>(p, 0);
+  size_t n = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    surv[n] = i;
+    n += oid[i] != kInvalidObjectId;
+  }
+  const SimdOps& ops = SimdDispatch();
+  for (uint32_t j = 0; j < width_ && n > 0; ++j) {
+    const double* dist = Column<double>(p, DistColumn(j));
+    n = per_row_ ? ops.refine_f64_gather(
+                       dist, Column<uint32_t>(p, PivotColumn(j)), q, r, surv, n)
+                 : ops.refine_f64(dist, q[j], r, surv, n);
+  }
+  return n;
+}
+
+bool PagedPivotTable::RowSurvives(const char* p, uint32_t i, const double* q,
+                                  double r) const {
+  for (uint32_t j = 0; j < width_; ++j) {
+    const double qv =
+        per_row_ ? q[Column<uint32_t>(p, PivotColumn(j))[i]] : q[j];
+    if (std::fabs(Column<double>(p, DistColumn(j))[i] - qv) > r) return false;
+  }
+  return true;
+}
+
+void PagedPivotTable::Remove(ObjectId id) {
+  for (uint32_t first = 0, page = 0; first < rows_;
+       first += rows_per_page_, ++page) {
+    const uint32_t count = std::min(rows_per_page_, rows_ - first);
+    const PageHandle h = seq_->Read(page);
+    const ObjectId* oid = Column<ObjectId>(h.data(), 0);
+    const size_t i = std::find(oid, oid + count, id) - oid;
+    if (i == count) continue;
+    const ObjectId dead = kInvalidObjectId;
+    std::memcpy(seq_->Write(page).mutable_data() + 4 * i, &dead, 4);
+    break;
+  }
+  seq_->Flush();
 }
 
 }  // namespace pmi

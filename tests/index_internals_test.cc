@@ -2,20 +2,25 @@
 // conformance suite cannot see: EPT row invariants, FQA sort order,
 // M-index cluster-tree invariants, SPB-tree key stability and known
 // answers, known MRQ/MkNNQ costs of the indexes that run both query
-// types through one body, CPT leaf pointers, and EPT group-size
-// estimation.
+// types through one body, the paged pivot table of OmniSeq and
+// EPT*-disk, CPT leaf pointers, and EPT group-size estimation.
 
 #include <algorithm>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/linear_scan.h"
 #include "src/core/pivot_selection.h"
+#include "src/core/simd.h"
 #include "src/data/generators.h"
 #include "src/external/spb_tree.h"
 #include "src/harness/registry.h"
@@ -363,6 +368,133 @@ TEST(MergedQueryBodyTest, KnownAnswersAndCostsOnAFixedScript) {
     }
   }
 }
+
+// The paged pivot table under OmniSeq (shared pivots) and EPT*-disk
+// (per-row pivots), on MergedQueryBodyTest's table: 600 Words objects, 5
+// pivots, 4 KB pages behind a one-page cache.
+struct PagedTableCase {
+  const char* index;
+  uint32_t seq_pages;  // 600 rows at 73 (56-byte) or 53 (76-byte) a page
+};
+
+void PrintTo(const PagedTableCase& c, std::ostream* os) { *os << c.index; }
+
+class PagedPivotTableTest : public ::testing::TestWithParam<PagedTableCase> {
+ protected:
+  PagedPivotTableTest() : w_(BenchDatasetId::kWords, 600) {
+    opts_.cache_bytes = opts_.page_size;
+  }
+
+  std::unique_ptr<MetricIndex> Build() const {
+    auto index = MakeIndex(GetParam().index, opts_);
+    index->Build(w_.bd.data, *w_.bd.metric, w_.pivots);
+    return index;
+  }
+
+  std::vector<ObjectId> Mrq(const MetricIndex& index, ObjectId q, double r,
+                            OpStats* cost = nullptr) const {
+    std::vector<ObjectId> ids;
+    OpStats c = index.RangeQuery(w_.bd.data.view(q), r, &ids);
+    if (cost != nullptr) *cost = c;
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  }
+
+  World w_;
+  IndexOptions opts_;
+};
+
+TEST_P(PagedPivotTableTest, MatchesTheOracleWithEqualCostsAtEverySimdLevel) {
+  // MergedQueryBodyTest's script at every dispatch level.  Answers equal
+  // LinearScan's (kNN by distance, since ties may order differently),
+  // and compdists and PA are the same at every level; MergedQueryBodyTest
+  // pins their values at the default level.
+  static const ObjectId kQueries[] = {14, 56, 224, 406};
+  static const double kRadii[] = {0, 6, 34};
+  LinearScan oracle;
+  oracle.Build(w_.bd.data, *w_.bd.metric, w_.pivots);
+  const char* inherited_env = getenv("PMI_SIMD");
+  const std::string inherited = inherited_env ? inherited_env : "";
+  const bool had_inherited = inherited_env != nullptr;
+  std::vector<std::vector<uint64_t>> costs;
+  for (SimdLevel level : SupportedSimdLevels()) {
+    SCOPED_TRACE(SimdLevelName(level));
+    ASSERT_EQ(setenv("PMI_SIMD", SimdLevelName(level), 1), 0);
+    ReinitSimdDispatch();
+    auto index = Build();
+    std::vector<uint64_t> level_costs;
+    for (ObjectId q : kQueries) {
+      for (double r : kRadii) {
+        OpStats cost;
+        EXPECT_EQ(Mrq(*index, q, r, &cost), Mrq(oracle, q, r))
+            << "MRQ of object " << q << " at r = " << r;
+        level_costs.push_back(cost.dist_computations);
+        level_costs.push_back(cost.page_accesses());
+      }
+      std::vector<Neighbor> got, want;
+      OpStats cost = index->KnnQuery(w_.bd.data.view(q), 10, &got);
+      oracle.KnnQuery(w_.bd.data.view(q), 10, &want);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].dist, want[i].dist) << "10-NN of object " << q;
+      }
+      level_costs.push_back(cost.dist_computations);
+      level_costs.push_back(cost.page_accesses());
+    }
+    costs.push_back(std::move(level_costs));
+  }
+  if (had_inherited) {
+    setenv("PMI_SIMD", inherited.c_str(), 1);
+  } else {
+    unsetenv("PMI_SIMD");
+  }
+  ReinitSimdDispatch();
+  for (size_t i = 1; i < costs.size(); ++i) EXPECT_EQ(costs[i], costs[0]);
+}
+
+TEST_P(PagedPivotTableTest, AScanPinsEachPageOnce) {
+  // MRQ at r = 0 verifies only the query object: one pin per sequential
+  // page, plus the one RAF page that holds the object.
+  auto index = Build();
+  OpStats cost;
+  EXPECT_EQ(Mrq(*index, 14, 0, &cost), std::vector<ObjectId>{14});
+  EXPECT_EQ(cost.pool_hits + cost.physical_reads, GetParam().seq_pages + 1);
+  EXPECT_EQ(cost.page_accesses(), GetParam().seq_pages + 1);
+}
+
+TEST_P(PagedPivotTableTest, ACloneKeepsTheRowsItsParentRemovesLater) {
+  // Tombstones written after a Clone stay in the parent; a re-inserted
+  // object is found again.  Objects 22 and 68 lie within r = 6 of 14.
+  auto index = Build();
+  const std::vector<ObjectId> before = Mrq(*index, 14, 6);
+  ASSERT_TRUE(std::binary_search(before.begin(), before.end(), 22));
+  ASSERT_TRUE(std::binary_search(before.begin(), before.end(), 68));
+  std::unique_ptr<MetricIndex> clone = index->Clone();
+  index->Remove(22);
+  index->Remove(68);
+  std::vector<ObjectId> without;
+  for (ObjectId id : before) {
+    if (id != 22 && id != 68) without.push_back(id);
+  }
+  EXPECT_EQ(Mrq(*index, 14, 6), without);
+  EXPECT_EQ(Mrq(*clone, 14, 6), before);
+  index->Insert(68);
+  without.insert(std::lower_bound(without.begin(), without.end(), 68), 68);
+  EXPECT_EQ(Mrq(*index, 14, 6), without);
+  EXPECT_EQ(Mrq(*index, 22, 0), std::vector<ObjectId>{});
+  EXPECT_EQ(Mrq(*clone, 14, 6), before);
+  clone->Remove(14);
+  EXPECT_EQ(Mrq(*index, 14, 0), std::vector<ObjectId>{14});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DiskTables, PagedPivotTableTest,
+    ::testing::Values(PagedTableCase{"OmniSeq", 9},
+                      PagedTableCase{"EPT*-disk", 12}),
+    [](const auto& info) {
+      return std::string(info.param.index) == "OmniSeq" ? "OmniSeq"
+                                                        : "EptDisk";
+    });
 
 TEST(MIndexInternalsTest, ClusterSplitPreservesResults) {
   // Force splits with a tiny maxnum and verify nothing is lost.

@@ -51,8 +51,11 @@ constexpr uint64_t kDataSeed = 77;
 constexpr uint32_t kScriptOps = 60;
 constexpr uint64_t kScriptSeed = 20260808;
 
+// The pid keeps two concurrent runs of this test out of each other's
+// files.
 std::string NewDir(const std::string& name) {
-  return ::testing::TempDir() + "pmi_wal_" + name;
+  return ::testing::TempDir() + "pmi_wal_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 void RemoveTree(const std::string& dir) {
